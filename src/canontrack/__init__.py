@@ -9,9 +9,9 @@ evaluation.
 
 from .geom import Box3, SimilarityTransform, box_iou_3d, volumetric_iou
 from .pose import (CorrespondenceSet, DegenerateCorrespondences, SymmetryClass,
-                   pose_losses, rotation_error, umeyama_solve)
+                   rotation_error, umeyama_solve)
 from .voxel import (DenseTsdfGrid, NocGrid, OccupancyGrid, SparseSurfaceGrid,
-                    binarize, crop_grid, extract_surface, fuse_depth_frame)
+                    binarize, extract_surface, fuse_depth_frame)
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "CorrespondenceSet",
     "DegenerateCorrespondences",
     "SymmetryClass",
-    "pose_losses",
     "rotation_error",
     "umeyama_solve",
     "DenseTsdfGrid",
@@ -31,7 +30,6 @@ __all__ = [
     "OccupancyGrid",
     "SparseSurfaceGrid",
     "binarize",
-    "crop_grid",
     "extract_surface",
     "fuse_depth_frame",
     "__version__",

@@ -7,9 +7,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import experiment, metrics, pipeline, synth
+from . import experiment, metrics
 
 ABLATIONS = ("no_completion", "no_correspondence_matching")
 
@@ -58,28 +57,6 @@ def common_options(f):
     return f
 
 
-def _gt_to_dict(gt_frames) -> dict:
-    return {
-        "version": 1,
-        "frames": [
-            {
-                "frame": gt.index,
-                "objects": [
-                    {
-                        "id": o.object_id,
-                        "class_id": o.class_id,
-                        "symmetry": o.symmetry,
-                        "box": o.box.to_dict(),
-                        "pose": o.pose.to_dict(),
-                    }
-                    for o in gt.objects
-                ],
-            }
-            for gt in gt_frames
-        ],
-    }
-
-
 @main.command()
 @common_options
 def generate(config_path, seed, ablation, output):
@@ -90,8 +67,8 @@ def generate(config_path, seed, ablation, output):
         out.mkdir(parents=True, exist_ok=True)
         for sid in range(cfg.n_sequences):
             script = experiment.make_script(cfg, sid)
-            with open(out / f"scene_seq{sid:04d}.json", "w") as f:
-                json.dump(script.to_dict(), f, sort_keys=True)
+            experiment.write_json(out / f"scene_seq{sid:04d}.json",
+                                  script.to_dict())
         click.echo(f"wrote {cfg.n_sequences} scene scripts to {out}")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _fail(exc)
@@ -106,16 +83,10 @@ def track(config_path, seed, ablation, output):
         out = Path(cfg.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for sid in range(cfg.n_sequences):
-            script = experiment.make_script(cfg, sid)
-            data = pipeline.build_sequence_data(script, cfg.voxel_size)
-            result = pipeline.run_sequence(data, cfg.pipeline_config(sid))
-            with open(out / f"tracklets_seq{sid:04d}.json", "w") as f:
-                json.dump(result.dump, f, sort_keys=True)
-            with open(out / f"gt_seq{sid:04d}.json", "w") as f:
-                json.dump(_gt_to_dict(result.gt_frames), f, sort_keys=True)
-            with open(out / f"scores_seq{sid:04d}.json", "w") as f:
-                json.dump(experiment.score_sequence(result, cfg), f,
-                          sort_keys=True)
+            _, dump, gt, scores = experiment.track_sequence(cfg, sid)
+            experiment.write_json(out / f"tracklets_seq{sid:04d}.json", dump)
+            experiment.write_json(out / f"gt_seq{sid:04d}.json", gt)
+            experiment.write_json(out / f"scores_seq{sid:04d}.json", scores)
         click.echo(f"tracked {cfg.n_sequences} sequences into {out}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
@@ -153,17 +124,8 @@ def eval_cmd(config_path, seed, ablation, output):
                 stored.update(scores)
                 scores = stored
             per_sequence[sid] = scores
-        summary = {
-            "config": cfg.to_dict(),
-            "mean_mota": float(np.mean([s["mota"]
-                                        for s in per_sequence.values()])),
-            "mean_completion_iou": float(np.mean(
-                [s.get("mean_completion_iou", 0.0)
-                 for s in per_sequence.values()])),
-            "per_sequence": per_sequence,
-        }
-        with open(out / "metrics.json", "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
+        summary = experiment.summarize(cfg, per_sequence)
+        experiment.write_json(out / "metrics.json", summary, indent=2)
         if all("mean_completion_iou" in s for s in per_sequence.values()):
             experiment.write_csv(out / "metrics.csv", [summary])
         click.echo(json.dumps({"mean_mota": summary["mean_mota"]}))

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
-from .voxel import NocGrid, OccupancyGrid, binarize
+from .voxel import (OBJECT_RESOLUTION, NocGrid, OccupancyGrid, binarize,
+                    lattice_centers, nearest_voxel)
 
 EPS = 1e-12
-
 
 @dataclass
 class DegradationKnobs:
@@ -32,7 +32,9 @@ class DegradationKnobs:
 class CompletionOutput:
     occupancy_prob: np.ndarray  # (R, R, R) in [0, 1]
     noc: NocGrid
-    crop: Box3  # cube the 64^3 grids cover, world space
+    crop: Box3  # cube the R^3 grids cover, world space
+    centers: np.ndarray  # (R, R, R, 3) world-space crop voxel centers
+    full: np.ndarray  # (R, R, R) bool, the undegraded ground-truth occupancy
 
     def occupancy(self, threshold: float = 0.5) -> OccupancyGrid:
         return binarize(self.occupancy_prob, threshold)
@@ -62,7 +64,6 @@ def oracle_complete(
     visible_voxels: np.ndarray,
     knobs: DegradationKnobs = DegradationKnobs(),
     rng: np.random.Generator | None = None,
-    resolution: int = 64,
 ) -> CompletionOutput:
     """Completed occupancy and NOC grid for one detection.
 
@@ -76,24 +77,18 @@ def oracle_complete(
         rng = np.random.default_rng(0)
     cube = detection_box.cubified()
     bits = template.canonical_occupancy.bits
-    res_t = bits.shape[0]
+    shape = (OBJECT_RESOLUTION,) * 3
 
-    idx = np.stack(np.meshgrid(*[np.arange(resolution)] * 3, indexing="ij"), axis=-1)
-    centers = cube.min_corner + (idx.reshape(-1, 3) + 0.5) / resolution * cube.extents
-    canon = pose.inverse().apply(centers)
-    ci = np.floor(canon * res_t).astype(np.int64)
-    inside = np.all((ci >= 0) & (ci < res_t), axis=1)
+    centers = (cube.min_corner
+               + lattice_centers(shape) / OBJECT_RESOLUTION * cube.extents)
+    canon = pose.inverse().apply(centers.reshape(-1, 3))
+    # Channels: template occupancy, visible voxels, and the template's cube.
+    channels = np.stack([bits, _visible_mask(visible_voxels, bits.shape[0]),
+                         np.ones_like(bits)], axis=-1)
+    full, visible, inside = nearest_voxel(channels, canon).T
     if not inside.any():
         raise ValueError("detection box does not overlap the object")
-
-    full = np.zeros(len(canon), dtype=bool)
-    ii = ci[inside]
-    full[inside] = bits[ii[:, 0], ii[:, 1], ii[:, 2]]
-
-    vis_mask = _visible_mask(visible_voxels, res_t)
-    visible = np.zeros(len(canon), dtype=bool)
-    visible[inside] = vis_mask[ii[:, 0], ii[:, 1], ii[:, 2]]
-    visible &= full
+    visible = visible & full
 
     f = float(knobs.completion_fraction)
     if f >= 1.0:
@@ -116,11 +111,12 @@ def oracle_complete(
     valid = occ & full  # NOC only where target geometry exists and is kept
     coords[~valid] = 0.0
 
-    shape = (resolution,) * 3
     return CompletionOutput(
         occupancy_prob=occ.astype(np.float64).reshape(shape),
         noc=NocGrid(coords.reshape(shape + (3,)), valid.reshape(shape)),
         crop=cube,
+        centers=centers,
+        full=full.reshape(shape),
     )
 
 
@@ -132,15 +128,3 @@ def completion_loss(pred_prob: np.ndarray, target: OccupancyGrid) -> float:
         raise ValueError(f"grid dims mismatch: {p.shape} vs {t.shape}")
     p = np.clip(p, EPS, 1.0 - EPS)
     return float(np.mean(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))
-
-
-def correspondence_loss(pred: NocGrid, target: NocGrid,
-                        support: OccupancyGrid) -> float:
-    """Mean (over support voxels) of the per-voxel l1 coordinate error."""
-    sup = np.asarray(support.bits, dtype=bool)
-    if pred.dims != target.dims or pred.dims != sup.shape:
-        raise ValueError("grid dims mismatch")
-    if not sup.any():
-        raise ValueError("empty support")
-    err = np.abs(pred.coords[sup] - target.coords[sup]).sum(axis=-1)
-    return float(err.mean())

@@ -10,13 +10,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .geom import Box3
-from .voxel import SparseSurfaceGrid
+from .voxel import SparseSurfaceGrid, nearest_voxel
 
 EPS = 1e-12
+OBJECTNESS_THRESHOLD = 0.5  # voxels at or above it vote
+MEAN_SHIFT_RADIUS = 8.0  # flat kernel radius and mode merge radius, voxels
+MEAN_SHIFT_STEPS = 20
 
 
 @dataclass
@@ -114,39 +116,31 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
     return pts
 
 
-def mean_shift_proposals(
-    fields: PredictionFields,
-    *,
-    steps: int = 20,
-    radius: float = 8.0,
-    merge_radius: float | None = None,
-    min_members: int = 50,
-    objectness_threshold: float = 0.5,
-) -> list:
+def mean_shift_proposals(fields: PredictionFields, *,
+                         min_members: int = 50) -> list:
     """Cluster center votes into box proposals.
 
-    Voxels with objectness >= threshold vote at voxel + center_offset.  After
-    `steps` flat-kernel mean-shift iterations, modes within merge_radius are
-    merged (strongest support wins); votes attach to the nearest surviving
-    mode within the kernel radius; clusters smaller than min_members are
-    dropped.  Extents are average-pooled over members, the class is a
-    majority vote of per-voxel argmax classes, and the box center is the
-    converged mode.
+    Voxels with objectness >= OBJECTNESS_THRESHOLD vote at voxel +
+    center_offset.  After MEAN_SHIFT_STEPS flat-kernel mean-shift iterations,
+    modes within the kernel radius of a stronger mode are merged into it;
+    votes attach to the nearest surviving mode within the kernel radius;
+    clusters smaller than min_members are dropped.  Extents are
+    average-pooled over members, the class is a majority vote of per-voxel
+    argmax classes, and the box center is the converged mode.
     """
-    if merge_radius is None:
-        merge_radius = radius
-    sel = fields.objectness >= objectness_threshold
+    radius = MEAN_SHIFT_RADIUS
+    sel = fields.objectness >= OBJECTNESS_THRESHOLD
     if not sel.any():
         return []
     idx = np.nonzero(sel)[0]
     votes = fields.voxels[sel] + fields.center_offset[sel]
-    modes = _mean_shift_modes(votes, radius, steps)
+    modes = _mean_shift_modes(votes, radius, MEAN_SHIFT_STEPS)
 
     # Support of each candidate mode = votes within the kernel radius.
     tree = cKDTree(votes)
     support = np.array([len(nb) for nb in tree.query_ball_point(modes, radius)])
 
-    # Greedy merge: strongest mode absorbs everything within merge_radius.
+    # Greedy merge: strongest mode absorbs everything within the radius.
     order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0], -support))
     alive = np.ones(len(modes), dtype=bool)
     survivors = []
@@ -155,7 +149,7 @@ def mean_shift_proposals(
             continue
         survivors.append(i)
         d = np.linalg.norm(modes - modes[i], axis=1)
-        alive &= d > merge_radius
+        alive &= d > radius
     centers = modes[survivors]
 
     # Assign votes to the nearest surviving mode within the kernel radius.
@@ -196,18 +190,6 @@ class DetectorKnobs:
     class_confusion: float = 0.0
 
 
-_DILATED_CACHE: dict = {}
-
-
-def _dilated_occupancy(template) -> np.ndarray:
-    key = id(template)
-    if key not in _DILATED_CACHE:
-        _DILATED_CACHE[key] = ndimage.binary_dilation(
-            template.canonical_occupancy.bits, iterations=2
-        )
-    return _DILATED_CACHE[key]
-
-
 def make_oracle_fields(
     surface: SparseSurfaceGrid,
     gt_objects,
@@ -219,7 +201,8 @@ def make_oracle_fields(
 
     `gt_objects` is a sequence of objects with .box, .pose, .class_id and
     .template attributes (see synth.GroundTruthObject).  A surface voxel is
-    owned by the first object whose dilated canonical occupancy contains it.
+    owned by the first object whose dilated canonical occupancy
+    (ObjectTemplate.dilated_occupancy) contains it.
     """
     if rng is None:
         rng = np.random.default_rng(0)
@@ -234,13 +217,7 @@ def make_oracle_fields(
         if not free.any():
             break
         canon = obj.pose.inverse().apply(centers[free])
-        res = obj.template.canonical_occupancy.dims[0]
-        ci = np.floor(canon * res).astype(np.int64)
-        inside = np.all((ci >= 0) & (ci < res), axis=1)
-        hit = np.zeros(inside.shape, dtype=bool)
-        occ = _dilated_occupancy(obj.template)
-        ii = ci[inside]
-        hit[inside] = occ[ii[:, 0], ii[:, 1], ii[:, 2]]
+        hit = nearest_voxel(obj.template.dilated_occupancy, canon)
         gidx = np.nonzero(free)[0][hit]
         owner[gidx] = oi
         c_t[gidx] = (obj.box.center - centers[gidx]) / surface.voxel_size

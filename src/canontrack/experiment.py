@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ class ExperimentConfig:
     n_frames: int = 24
     n_objects: int = 2
     motion: str = "slow"  # or "fast"
-    jump_period: int = 3  # frames between jumps in "fast" motion
+    jump_period: int = synth.JUMP_PERIOD  # frames between "fast" jumps
     image_width: int = 240
     image_height: int = 180
     voxel_size: float = 0.05
@@ -64,6 +65,12 @@ class ExperimentConfig:
             raise ValueError("motion must be 'slow' or 'fast'")
         if self.n_sequences < 1 or self.n_frames < 1 or self.n_objects < 1:
             raise ValueError("counts must be positive")
+        if self.n_objects > synth.MAX_OBJECTS:
+            raise ValueError(
+                f"n_objects must be at most {synth.MAX_OBJECTS}, got "
+                f"{self.n_objects}: objects are placed within "
+                f"{synth.PLACEMENT_RADIUS} m of the origin and "
+                f"{synth.MIN_SEPARATION} m apart")
 
     def to_dict(self) -> dict:
         d = {"version": CONFIG_VERSION}
@@ -90,13 +97,11 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+        write_json(path, self.to_dict(), indent=2)
 
     def pipeline_config(self, sequence_id: int) -> pipeline.PipelineConfig:
         f = 0.0 if self.no_completion else self.completion_fraction
         return pipeline.PipelineConfig(
-            voxel_size=self.voxel_size,
             detector=DetectorKnobs(
                 objectness_flip_rate=self.detector_flip_rate,
                 center_jitter=self.detector_center_jitter,
@@ -173,7 +178,7 @@ def score_sequence(result: pipeline.SequenceResult,
             d.proposal.box))
         comp_scored.append(metrics.ScoredDetection(
             d.frame, d.proposal.class_id, d.proposal.mean_objectness,
-            d.canonical >= 0.5))
+            d.canonical >= config.binarize_threshold))
         if d.gt_object_id is not None and d.pred_pose is not None:
             obj = gt_by_id[(d.frame, d.gt_object_id)]
             pose_pairs.append((d.pred_pose, obj.pose, obj.symmetry))
@@ -199,12 +204,61 @@ def score_sequence(result: pipeline.SequenceResult,
     }
 
 
-def _run_one(args) -> tuple:
-    config, sequence_id = args
+def gt_to_dict(gt_frames) -> dict:
+    """Ground-truth dump of a sequence: the boxes and poses evaluation reads."""
+    return {
+        "version": 1,
+        "frames": [
+            {
+                "frame": gt.index,
+                "objects": [
+                    {
+                        "id": o.object_id,
+                        "class_id": o.class_id,
+                        "symmetry": o.symmetry,
+                        "box": o.box.to_dict(),
+                        "pose": o.pose.to_dict(),
+                    }
+                    for o in gt.objects
+                ],
+            }
+            for gt in gt_frames
+        ],
+    }
+
+
+def track_sequence(config: ExperimentConfig, sequence_id: int) -> tuple:
+    """Generate, track and score one sequence: (sequence id, tracklet dump,
+    ground-truth dump, scores)."""
     script = make_script(config, sequence_id)
     data = pipeline.build_sequence_data(script, config.voxel_size)
     result = pipeline.run_sequence(data, config.pipeline_config(sequence_id))
-    return sequence_id, result.dump, score_sequence(result, config)
+    return (sequence_id, result.dump, gt_to_dict(result.gt_frames),
+            score_sequence(result, config))
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """Strict JSON: NaN and infinities raise instead of being written."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=indent, sort_keys=True, allow_nan=False)
+
+
+def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
+    """Experiment summary over per-sequence scores.  Sequences without a
+    MOTA (no ground truth) or a rotation error are left out of those means;
+    a missing completion IoU counts as 0."""
+    scores = per_sequence.values()
+    motas = [s["mota"] for s in scores if s["mota"] is not None]
+    comp_ious = [s.get("mean_completion_iou", 0.0) for s in scores]
+    rots = [s["median_rotation_error_deg"] for s in scores
+            if s.get("median_rotation_error_deg") is not None]
+    return {
+        "config": config.to_dict(),
+        "mean_mota": float(np.mean(motas)) if motas else None,
+        "mean_completion_iou": float(np.mean(comp_ious)),
+        "median_rotation_error_deg": float(np.median(rots)) if rots else None,
+        "per_sequence": per_sequence,
+    }
 
 
 def run_experiment(config: ExperimentConfig,
@@ -215,35 +269,20 @@ def run_experiment(config: ExperimentConfig,
     config.output_dir when write_outputs is set.
     """
     config.validate()
-    jobs = [(config, i) for i in range(config.n_sequences)]
+    ids = range(config.n_sequences)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_one, jobs))
+            results = list(pool.map(track_sequence, repeat(config), ids))
     else:
-        results = [_run_one(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
+        results = [track_sequence(config, i) for i in ids]
 
-    per_sequence = {sid: scores for sid, _, scores in results}
-    motas = [s["mota"] for s in per_sequence.values()]
-    comp_ious = [s["mean_completion_iou"] for s in per_sequence.values()]
-    rots = [s["median_rotation_error_deg"] for s in per_sequence.values()
-            if s["median_rotation_error_deg"] is not None]
-    summary = {
-        "config": config.to_dict(),
-        "mean_mota": float(np.mean(motas)),
-        "mean_completion_iou": float(np.mean(comp_ious)),
-        "median_rotation_error_deg": float(np.median(rots)) if rots else None,
-        "per_sequence": per_sequence,
-    }
-
+    summary = summarize(config, {sid: scores for sid, _, _, scores in results})
     if write_outputs:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for sid, dump, _ in results:
-            with open(out / f"tracklets_seq{sid:04d}.json", "w") as f:
-                json.dump(dump, f, sort_keys=True)
-        with open(out / "metrics.json", "w") as f:
-            json.dump(summary, f, indent=2, sort_keys=True)
+        for sid, dump, _, _ in results:
+            write_json(out / f"tracklets_seq{sid:04d}.json", dump)
+        write_json(out / "metrics.json", summary, indent=2)
         write_csv(out / "metrics.csv", [summary])
     return summary
 

@@ -58,13 +58,6 @@ class SimilarityTransform:
             + self.translation,
         )
 
-    def matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 matrix form."""
-        m = np.eye(4)
-        m[:3, :3] = self.scale * self.rotation
-        m[:3, 3] = self.translation
-        return m
-
     def to_dict(self) -> dict:
         return {
             "scale": self.scale,
@@ -75,10 +68,6 @@ class SimilarityTransform:
     @classmethod
     def from_dict(cls, d: dict) -> "SimilarityTransform":
         return cls(d["scale"], np.array(d["rotation"]), np.array(d["translation"]))
-
-
-def apply_transform(t: SimilarityTransform, p) -> np.ndarray:
-    return t.apply(p)
 
 
 def yaw_rotation(angle_rad: float) -> np.ndarray:

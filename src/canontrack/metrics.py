@@ -42,9 +42,11 @@ class MotaBreakdown:
         return sum(self.gt_counts)
 
     @property
-    def mota(self) -> float:
+    def mota(self) -> float | None:
+        """1 - errors / ground-truth count; None without ground truth, where
+        CLEAR-MOT leaves it undefined."""
         if self.total_gt == 0:
-            return 1.0 if self.total_errors == 0 else float("-inf")
+            return None
         return 1.0 - self.total_errors / self.total_gt
 
     def to_dict(self) -> dict:
@@ -79,10 +81,11 @@ def mota(pred_frames: dict, gt_frames: dict, gate: float = MOTA_GATE,
         pred_by_id = {p.track_id: p for p in preds}
 
         matched_gt, matched_pred = set(), set()
-        # 1. carry over still-valid correspondences
+        # 1. carry over still-valid correspondences; a prediction is kept by
+        # one object only, the one with the lowest id
         for g in gts:
             pid = corr.get(g.track_id)
-            if pid is None or pid not in pred_by_id:
+            if pid is None or pid not in pred_by_id or pid in matched_pred:
                 continue
             p = pred_by_id[pid]
             if class_gated and p.class_id != g.class_id:

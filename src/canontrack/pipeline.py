@@ -8,14 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import complete, detect, pose, synth, track
-from .geom import Box3, box_iou_3d, volumetric_iou
-from .voxel import DenseTsdfGrid, binarize, extract_surface, fuse_depth_frame
+from .geom import box_iou_3d, volumetric_iou
+from .voxel import (OBJECT_RESOLUTION, DenseTsdfGrid, extract_surface,
+                    fuse_depth_frame)
 
 
 @dataclass
 class PipelineConfig:
-    voxel_size: float = 0.05
-    truncation: float | None = None  # default 3 * voxel_size
     detector: detect.DetectorKnobs = field(default_factory=detect.DetectorKnobs)
     completion: complete.DegradationKnobs = field(
         default_factory=complete.DegradationKnobs)
@@ -47,7 +46,7 @@ class DetectionRecord:
     gt_object_id: int | None
     pred_pose: pose.SimilarityTransform | None
     completion_iou: float | None
-    canonical: np.ndarray  # (64,64,64) binary canonical reconstruction
+    canonical: np.ndarray  # (R, R, R) binary canonical reconstruction
 
 
 @dataclass
@@ -64,44 +63,36 @@ class SequenceResult:
 
 
 def build_sequence_data(script: synth.SceneScript,
-                        voxel_size: float = 0.05,
-                        truncation: float | None = None,
-                        surface_band: float | None = None) -> SequenceData:
+                        voxel_size: float = 0.05) -> SequenceData:
     """Render the script and extract the per-frame surface grids.
 
-    The pipeline uses a full-voxel surface band (wider than the
-    extract_surface default) so small objects keep enough surface voxels to
-    clear the 50-member cluster filter.
+    The TSDF truncation, which is also the ground truth's visibility band,
+    is three voxels.  The pipeline uses a full-voxel surface band (wider than
+    the extract_surface default) so small objects keep enough surface voxels
+    to clear the 50-member cluster filter.
     """
-    if truncation is None:
-        truncation = 3.0 * voxel_size
-    if surface_band is None:
-        surface_band = voxel_size
+    truncation = 3.0 * voxel_size
     gt_frames = []
     surfaces = []
     for depth, gt in synth.render_sequence(script, visibility_band=truncation):
         grid = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size, truncation)
         grid = fuse_depth_frame(depth, script.intrinsics, gt.camera_pose, grid)
         gt_frames.append(gt)
-        surfaces.append(extract_surface(grid, band=surface_band))
+        surfaces.append(extract_surface(grid, band=voxel_size))
     return SequenceData(script, gt_frames, surfaces)
 
 
-def _scatter_canonical(noc, occupied: np.ndarray, resolution: int = 64) -> np.ndarray:
+def _scatter_canonical(noc, occupied: np.ndarray) -> np.ndarray:
     """Nearest-neighbor scatter of NOC-mapped geometry onto the canonical
     lattice; collisions max-pool (binary or)."""
-    grid = np.zeros((resolution,) * 3)
+    grid = np.zeros((OBJECT_RESOLUTION,) * 3)
     coords = noc.coords[occupied & noc.valid]
     if len(coords) == 0:
         return grid
-    idx = np.clip(np.floor(coords * resolution).astype(np.int64), 0, resolution - 1)
+    idx = np.clip(np.floor(coords * OBJECT_RESOLUTION).astype(np.int64),
+                  0, OBJECT_RESOLUTION - 1)
     grid[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
     return grid
-
-
-def _crop_voxel_centers(cube: Box3, resolution: int = 64) -> np.ndarray:
-    idx = np.stack(np.meshgrid(*[np.arange(resolution)] * 3, indexing="ij"), axis=-1)
-    return cube.min_corner + (idx + 0.5) / resolution * cube.extents
 
 
 def process_frame(data: SequenceData, frame_idx: int,
@@ -129,7 +120,7 @@ def process_frame(data: SequenceData, frame_idx: int,
 
         pred_pose = None
         completion_iou = None
-        canonical = np.zeros((64, 64, 64))
+        canonical = np.zeros((OBJECT_RESOLUTION,) * 3)
         if gt_obj is not None:
             rng = complete.detection_rng(
                 config.seed, config.sequence_id, frame_idx, gt_obj.object_id)
@@ -139,17 +130,13 @@ def process_frame(data: SequenceData, frame_idx: int,
             occ = out.occupancy(config.binarize_threshold).bits
             support = occ & out.noc.valid
             if support.sum() >= 3:
-                centers = _crop_voxel_centers(out.crop)
                 try:
                     pred_pose = pose.solve_pose(
-                        out.noc.coords[support], centers[support])
+                        out.noc.coords[support], out.centers[support])
                 except pose.DegenerateCorrespondences:
                     pred_pose = None
             canonical = _scatter_canonical(out.noc, occ)
-            gt_out = complete.oracle_complete(
-                proposal.box, gt_obj.template, gt_obj.pose,
-                gt_obj.visible_voxels, complete.DegradationKnobs())
-            completion_iou = volumetric_iou(occ, gt_out.occupancy().bits)
+            completion_iou = volumetric_iou(occ, out.full)
 
         tracker_dets.append(track.Detection(
             box=proposal.box,
@@ -175,6 +162,7 @@ def run_sequence(data: SequenceData, config: PipelineConfig) -> SequenceResult:
         rescue_iou=config.rescue_iou,
         enable_rescue=config.enable_rescue,
         class_gated=config.class_gated_association,
+        binarize_threshold=config.binarize_threshold,
     )
     all_records = []
     all_losses = []

@@ -1,5 +1,5 @@
 """Closed-form similarity alignment of corresponded point sets, plus
-symmetry-aware rotation error and pose loss formulas."""
+symmetry-aware rotation error."""
 
 from __future__ import annotations
 
@@ -45,8 +45,8 @@ class SymmetryClass:
     def group(self) -> list:
         """Discrete rotations leaving the canonical shape invariant.
 
-        Cylindrical symmetry is continuous and handled analytically by the
-        error/loss functions; here it degenerates to the identity.
+        Cylindrical symmetry is continuous and handled analytically by
+        rotation_error; here it degenerates to the identity.
         """
         if self.kind == "two_fold":
             return [yaw_rotation(0.0), yaw_rotation(np.pi)]
@@ -124,25 +124,3 @@ def rotation_error(pred: np.ndarray, target: np.ndarray,
         _geodesic_angle_deg((target @ g).T @ pred) for g in sym.group()
     )
 
-
-def pose_losses(pred: SimilarityTransform, target: SimilarityTransform,
-                sym: SymmetryClass | str = "none") -> tuple:
-    """(rotation Frobenius loss, scale l1 loss, translation l2 loss).
-
-    The rotation term is minimized over the symmetry group, mirroring
-    rotation_error.
-    """
-    if isinstance(sym, str):
-        sym = SymmetryClass(sym)
-    if sym.kind == "cylindrical":
-        # ||Rp - Rt Rz(theta)||_F^2 = 6 - 2 tr(Rz(-theta) Rt^T Rp)
-        m = target.rotation.T @ pred.rotation
-        rot_loss = float(np.sqrt(max(0.0, 6.0 - 2.0 * _best_cylindrical_trace(m))))
-    else:
-        rot_loss = min(
-            float(np.linalg.norm(pred.rotation - target.rotation @ g))
-            for g in sym.group()
-        )
-    scale_loss = abs(pred.scale - target.scale)
-    trans_loss = float(np.linalg.norm(pred.translation - target.translation))
-    return rot_loss, scale_loss, trans_loss

@@ -36,7 +36,6 @@ class Tracklet:
     canonical_avg: np.ndarray
     pose_history: list = field(default_factory=list)  # (frame, SimilarityTransform|None)
     box_history: list = field(default_factory=list)  # (frame, Box3)
-    active: bool = True
     first_frame: int = 0
 
     def frames(self) -> set:
@@ -62,6 +61,12 @@ def hungarian(cost: np.ndarray) -> list:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
+def gated_assignment(iou: np.ndarray, threshold: float) -> list:
+    """(row, col) pairs of the Hungarian assignment on 1 - IoU whose IoU is
+    at least `threshold`, sorted lexicographically."""
+    return [(i, j) for i, j in hungarian(1.0 - iou) if iou[i, j] >= threshold]
+
+
 def associate_frame(tracklets: list, detections: list,
                     iou_threshold: float = ASSOCIATION_IOU,
                     class_gated: bool = False) -> AssignmentResult:
@@ -76,15 +81,11 @@ def associate_frame(tracklets: list, detections: list,
             if class_gated and t.class_id != d.class_id:
                 continue
             iou[i, j] = box_iou_3d(t.last_box, d.box)
-    matches = []
-    matched_t, matched_d = set(), set()
-    for i, j in hungarian(1.0 - iou):
-        if iou[i, j] >= iou_threshold:
-            matches.append((tracklets[i].id, j, float(iou[i, j])))
-            matched_t.add(i)
-            matched_d.add(j)
+    pairs = gated_assignment(iou, iou_threshold)
+    matched_t = {i for i, _ in pairs}
+    matched_d = {j for _, j in pairs}
     return AssignmentResult(
-        matches=matches,
+        matches=[(tracklets[i].id, j, float(iou[i, j])) for i, j in pairs],
         unmatched_tracklets=[t.id for i, t in enumerate(tracklets)
                              if i not in matched_t],
         unmatched_detections=[j for j in range(len(detections))
@@ -103,43 +104,6 @@ def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray,
     )
 
 
-def rescue_match(tracklets: list, orphans: list,
-                 iou_threshold: float = RESCUE_IOU,
-                 threshold: float = BINARIZE_THRESHOLD) -> AssignmentResult:
-    """Second-pass matching of orphans to tracklets on binarized canonical
-    volumetric IoU; entries are any objects carrying a `canonical_avg` (or
-    `canonical`) grid."""
-    def grid(x):
-        g = getattr(x, "canonical_avg", None)
-        if g is None:
-            g = x.canonical
-        return binarize(g, threshold)
-
-    if not tracklets or not orphans:
-        return AssignmentResult([], [t.id for t in tracklets],
-                                list(range(len(orphans))))
-    t_bits = [grid(t) for t in tracklets]
-    o_bits = [grid(o) for o in orphans]
-    iou = np.zeros((len(tracklets), len(orphans)))
-    for i in range(len(tracklets)):
-        for j in range(len(orphans)):
-            iou[i, j] = volumetric_iou(t_bits[i], o_bits[j])
-    matches = []
-    matched_t, matched_o = set(), set()
-    for i, j in hungarian(1.0 - iou):
-        if iou[i, j] >= iou_threshold:
-            matches.append((tracklets[i].id, j, float(iou[i, j])))
-            matched_t.add(i)
-            matched_o.add(j)
-    return AssignmentResult(
-        matches=matches,
-        unmatched_tracklets=[t.id for i, t in enumerate(tracklets)
-                             if i not in matched_t],
-        unmatched_detections=[j for j in range(len(orphans))
-                              if j not in matched_o],
-    )
-
-
 class Tracker:
     """Sequential frame-by-frame tracker with a post-hoc rescue pass.
 
@@ -150,11 +114,13 @@ class Tracker:
     def __init__(self, association_iou: float = ASSOCIATION_IOU,
                  rescue_iou: float = RESCUE_IOU,
                  enable_rescue: bool = True,
-                 class_gated: bool = False):
+                 class_gated: bool = False,
+                 binarize_threshold: float = BINARIZE_THRESHOLD):
         self.association_iou = association_iou
         self.rescue_iou = rescue_iou
         self.enable_rescue = enable_rescue
         self.class_gated = class_gated
+        self.binarize_threshold = binarize_threshold
         self.tracklets: list = []
         self._next_id = 0
         self._frame = 0
@@ -194,9 +160,10 @@ class Tracker:
         """Run the rescue pass (if enabled) and return the final tracklets.
 
         Tracklets born mid-sequence are treated as orphans and merged into
-        temporally disjoint earlier tracklets when their binarized canonical
-        reconstructions overlap; merging rewrites the orphan's identity
-        across its whole history.  The pass repeats until no merge applies.
+        temporally disjoint earlier tracklets when their canonical
+        reconstructions, binarized at `binarize_threshold` (inclusive),
+        overlap with IoU at least `rescue_iou`; merging rewrites the
+        orphan's identity across its whole history.  The pass repeats until no merge applies.
         """
         if not self.enable_rescue:
             return self.tracklets
@@ -208,7 +175,6 @@ class Tracker:
             base_list = candidates
             if not orphan_list:
                 break
-            pairs = []
             iou = np.zeros((len(base_list), len(orphan_list)))
             for i, b in enumerate(base_list):
                 bf = b.frames()
@@ -218,12 +184,11 @@ class Tracker:
                     if bf & o.frames():
                         continue  # coexisting tracklets are distinct objects
                     iou[i, j] = volumetric_iou(
-                        binarize(b.canonical_avg, BINARIZE_THRESHOLD),
-                        binarize(o.canonical_avg, BINARIZE_THRESHOLD),
+                        binarize(b.canonical_avg, self.binarize_threshold),
+                        binarize(o.canonical_avg, self.binarize_threshold),
                     )
-            for i, j in hungarian(1.0 - iou):
-                if iou[i, j] >= self.rescue_iou:
-                    pairs.append((base_list[i], orphan_list[j]))
+            pairs = [(base_list[i], orphan_list[j])
+                     for i, j in gated_assignment(iou, self.rescue_iou)]
             # Apply non-conflicting merges (a base absorbed this round cannot
             # also be merged away).
             absorbed = set()

@@ -7,14 +7,45 @@ surface), negative behind it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
 
 DEFAULT_VOXEL_SIZE = 0.05
+# Side of every object-space grid: template occupancy, completion crop and
+# canonical reconstruction.  The three must agree for their IoUs to be defined.
 OBJECT_RESOLUTION = 64
+
+
+@functools.lru_cache(maxsize=4)
+def lattice_centers(dims: tuple) -> np.ndarray:
+    """Voxel-center offsets (index + 0.5) of a grid, shape dims + (3,).
+
+    The result is cached and read-only; callers scale and shift it.
+    """
+    idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
+                   axis=-1)
+    centers = idx + 0.5
+    centers.setflags(write=False)
+    return centers
+
+
+def nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Value of the voxel of `grid` that contains each point.
+
+    `grid` spans the unit cube with shape (R, R, R) or (R, R, R, C);
+    `points` has shape (..., 3).  Points outside the cube read zero.
+    """
+    res = grid.shape[0]
+    idx = np.floor(points * res).astype(np.int64)
+    ok = np.all((idx >= 0) & (idx < res), axis=-1)
+    out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
+    ii = idx[ok]
+    out[ok] = grid[ii[:, 0], ii[:, 1], ii[:, 2]]
+    return out
 
 
 @dataclass
@@ -91,14 +122,7 @@ class DenseTsdfGrid:
 
     def voxel_centers(self) -> np.ndarray:
         """World-space voxel centers, shape dims + (3,)."""
-        idx = np.stack(
-            np.meshgrid(*[np.arange(d) for d in self.dims], indexing="ij"), axis=-1
-        )
-        return self.origin + (idx + 0.5) * self.voxel_size
-
-    def bounds(self) -> Box3:
-        extents = np.array(self.dims) * self.voxel_size
-        return Box3(self.origin + 0.5 * extents, extents)
+        return self.origin + lattice_centers(self.dims) * self.voxel_size
 
 
 @dataclass
@@ -236,104 +260,6 @@ def extract_surface(grid: DenseTsdfGrid, band: float | None = None) -> SparseSur
     mask = (grid.weights > 0) & (np.abs(grid.values) < band)
     coords = np.argwhere(mask)
     return SparseSurfaceGrid(coords, grid.origin, grid.voxel_size)
-
-
-def _sample_positions(box: Box3, resolution: int) -> np.ndarray:
-    """World centers of the resolution^3 crop lattice covering `box`."""
-    idx = np.stack(
-        np.meshgrid(*[np.arange(resolution)] * 3, indexing="ij"), axis=-1
-    )
-    return box.min_corner + (idx + 0.5) / resolution * box.extents
-
-
-def _trilinear(values: np.ndarray, origin, voxel_size: float, points: np.ndarray,
-               fill: float = 0.0) -> np.ndarray:
-    """Trilinear interpolation aligned at voxel centers."""
-    g = (points - origin) / voxel_size - 0.5
-    dims = np.array(values.shape)
-    i0 = np.floor(g).astype(np.int64)
-    frac = g - i0
-    out = np.zeros(points.shape[:-1])
-    for corner in range(8):
-        off = np.array([(corner >> 2) & 1, (corner >> 1) & 1, corner & 1])
-        idx = i0 + off
-        ok = np.all((idx >= 0) & (idx < dims), axis=-1)
-        w = np.prod(np.where(off.astype(bool), frac, 1.0 - frac), axis=-1)
-        contrib = np.full(points.shape[:-1], fill)
-        ii = idx[ok]
-        contrib[ok] = values[ii[:, 0], ii[:, 1], ii[:, 2]]
-        out = out + w * contrib
-    return out
-
-
-def _nearest(values: np.ndarray, origin, voxel_size: float, points: np.ndarray,
-             fill=0):
-    g = (points - origin) / voxel_size
-    idx = np.floor(g).astype(np.int64)
-    dims = np.array(values.shape)
-    ok = np.all((idx >= 0) & (idx < dims), axis=-1)
-    out = np.full(points.shape[:-1], fill, dtype=values.dtype)
-    ii = idx[ok]
-    out[ok] = values[ii[:, 0], ii[:, 1], ii[:, 2]]
-    return out
-
-
-def crop_grid(grid, box: Box3, *, bounds: Box3 | None = None,
-              resolution: int = OBJECT_RESOLUTION):
-    """Resample the region of `grid` covered by the cubified `box`.
-
-    TSDF values are interpolated trilinearly; occupancy masks and NOC grids
-    use nearest-neighbor lookup.  Grids without intrinsic geometry
-    (OccupancyGrid, NocGrid) need `bounds` giving their world extent.
-    """
-    cube = box.cubified()
-    if isinstance(grid, DenseTsdfGrid):
-        if not _boxes_overlap(cube, grid.bounds()):
-            raise ValueError("crop box does not overlap the grid")
-        pos = _sample_positions(cube, resolution)
-        vals = _trilinear(grid.values, grid.origin, grid.voxel_size, pos,
-                          fill=grid.truncation)
-        w = _nearest(grid.weights, grid.origin, grid.voxel_size, pos, fill=0.0)
-        return DenseTsdfGrid(
-            origin=cube.min_corner,
-            voxel_size=float(cube.extents[0]) / resolution,
-            values=np.clip(vals, -grid.truncation, grid.truncation),
-            weights=w,
-            truncation=grid.truncation,
-        )
-    if bounds is None:
-        raise ValueError("bounds required for grids without intrinsic geometry")
-    if not _boxes_overlap(cube, bounds):
-        raise ValueError("crop box does not overlap the grid")
-    if isinstance(grid, OccupancyGrid):
-        vs = bounds.extents / np.array(grid.dims)
-        pos = _sample_positions(cube, resolution)
-        g = (pos - bounds.min_corner) / vs
-        idx = np.floor(g).astype(np.int64)
-        ok = np.all((idx >= 0) & (idx < np.array(grid.dims)), axis=-1)
-        bits = np.zeros((resolution,) * 3, dtype=bool)
-        ii = idx[ok]
-        bits[ok] = grid.bits[ii[:, 0], ii[:, 1], ii[:, 2]]
-        return OccupancyGrid(bits)
-    if isinstance(grid, NocGrid):
-        vs = bounds.extents / np.array(grid.dims)
-        pos = _sample_positions(cube, resolution)
-        g = (pos - bounds.min_corner) / vs
-        idx = np.floor(g).astype(np.int64)
-        ok = np.all((idx >= 0) & (idx < np.array(grid.dims)), axis=-1)
-        coords = np.zeros((resolution,) * 3 + (3,))
-        valid = np.zeros((resolution,) * 3, dtype=bool)
-        ii = idx[ok]
-        valid[ok] = grid.valid[ii[:, 0], ii[:, 1], ii[:, 2]]
-        coords[ok] = grid.coords[ii[:, 0], ii[:, 1], ii[:, 2]]
-        coords[~valid] = 0.0
-        return NocGrid(coords, valid)
-    raise TypeError(f"unsupported grid type {type(grid).__name__}")
-
-
-def _boxes_overlap(a: Box3, b: Box3) -> bool:
-    return bool(np.all(a.min_corner < b.max_corner) and
-                np.all(b.min_corner < a.max_corner))
 
 
 def binarize(values: np.ndarray, threshold: float = 0.5) -> OccupancyGrid:

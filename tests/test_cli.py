@@ -72,6 +72,28 @@ class TestTrackAndEval:
         summary = json.loads((Path(out) / "metrics.json").read_text())
         assert summary["config"]["no_correspondence_matching"] is True
 
+    def test_round_trip_matches_run_experiment(self, tmp_path):
+        # degraded enough that MOTA is below 1 and differs per sequence
+        cfg = experiment.ExperimentConfig(
+            seed=3, n_sequences=2, n_frames=4, n_objects=2, motion="fast",
+            image_width=160, image_height=120, noc_noise=0.02,
+            occupancy_flip_rate=0.05, detector_flip_rate=0.05,
+            output_dir=str(tmp_path / "experiment"))
+        expected = experiment.run_experiment(cfg)
+        path = str(tmp_path / "config.json")
+        cfg.save(path)
+        out = tmp_path / "cli"
+        r = run_cli("track", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        r = run_cli("eval", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        assert expected["mean_mota"] < 1.0
+        assert json.loads(r.output)["mean_mota"] == expected["mean_mota"]
+        summary = json.loads((out / "metrics.json").read_text())
+        exp_file = json.loads(
+            (tmp_path / "experiment" / "metrics.json").read_text())
+        assert summary["per_sequence"] == exp_file["per_sequence"]
+
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):
         r = run_cli("eval", "--config", config_path,
                     "--output", str(tmp_path / "empty"))

@@ -3,12 +3,11 @@ import pytest
 from scipy.stats import spearmanr
 
 from canontrack import synth
-from canontrack.complete import (CompletionOutput, DegradationKnobs,
-                                 completion_loss, correspondence_loss,
+from canontrack.complete import (DegradationKnobs, completion_loss,
                                  detection_rng, oracle_complete)
 from canontrack.geom import volumetric_iou
 from canontrack.pose import solve_pose
-from canontrack.voxel import NocGrid, OccupancyGrid
+from canontrack.voxel import OccupancyGrid
 
 
 def posed_object(kind="l_shape", yaw=0.8, seed=0):
@@ -151,53 +150,3 @@ class TestCompletionLoss:
         with pytest.raises(ValueError):
             completion_loss(np.zeros((2, 2, 2)),
                             OccupancyGrid(np.zeros((3, 3, 3), dtype=bool)))
-
-
-class TestCorrespondenceLoss:
-    def test_zero_for_identical(self):
-        rng = np.random.default_rng(0)
-        coords = rng.random((3, 3, 3, 3))
-        valid = np.ones((3, 3, 3), dtype=bool)
-        noc = NocGrid(coords, valid)
-        sup = OccupancyGrid(valid)
-        assert correspondence_loss(noc, noc, sup) == 0.0
-
-    def test_known_value(self):
-        # constant coordinate error of 0.1 per axis -> l1 of 0.3 per voxel
-        coords = np.full((2, 2, 2, 3), 0.4)
-        target = NocGrid(np.full((2, 2, 2, 3), 0.5),
-                         np.ones((2, 2, 2), dtype=bool))
-        pred = NocGrid(coords, np.ones((2, 2, 2), dtype=bool))
-        sup = OccupancyGrid(np.ones((2, 2, 2), dtype=bool))
-        assert correspondence_loss(pred, target, sup) == \
-            pytest.approx(0.3, abs=1e-12)
-
-    def test_support_restricts_average(self):
-        pred_c = np.zeros((2, 2, 2, 3))
-        targ_c = np.zeros((2, 2, 2, 3))
-        targ_c[0, 0, 0] = 0.6  # error 1.8 at one voxel, 0 elsewhere
-        valid = np.ones((2, 2, 2), dtype=bool)
-        sup = np.zeros((2, 2, 2), dtype=bool)
-        sup[0, 0, 0] = True
-        loss = correspondence_loss(NocGrid(pred_c, valid),
-                                   NocGrid(targ_c, valid),
-                                   OccupancyGrid(sup))
-        assert loss == pytest.approx(1.8, abs=1e-12)
-
-    def test_empty_support_raises(self):
-        valid = np.ones((2, 2, 2), dtype=bool)
-        noc = NocGrid(np.zeros((2, 2, 2, 3)), valid)
-        with pytest.raises(ValueError):
-            correspondence_loss(noc, noc,
-                                OccupancyGrid(np.zeros((2, 2, 2), dtype=bool)))
-
-    def test_random_oracle(self):
-        rng = np.random.default_rng(3)
-        a = rng.random((4, 4, 4, 3))
-        b = rng.random((4, 4, 4, 3))
-        sup = rng.random((4, 4, 4)) > 0.5
-        valid = np.ones((4, 4, 4), dtype=bool)
-        expected = np.abs(a[sup] - b[sup]).sum(axis=-1).mean()
-        got = correspondence_loss(NocGrid(a, valid), NocGrid(b, valid),
-                                  OccupancyGrid(sup))
-        assert got == pytest.approx(expected, abs=1e-12)

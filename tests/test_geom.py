@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canontrack.geom import (Box3, SimilarityTransform, apply_transform,
-                             box_iou_3d, volumetric_iou, yaw_rotation)
+from canontrack.geom import (Box3, SimilarityTransform, box_iou_3d,
+                             volumetric_iou, yaw_rotation)
 from canontrack.voxel import OccupancyGrid
 
 
@@ -22,7 +22,7 @@ def random_rotation(rng):
 class TestSimilarityTransform:
     def test_identity(self):
         t = SimilarityTransform()
-        assert np.allclose(apply_transform(t, [1, 2, 3]), [1, 2, 3])
+        assert np.allclose(t.apply([1, 2, 3]), [1, 2, 3])
 
     def test_pure_scaling(self):
         t = SimilarityTransform(scale=2.0)
@@ -58,10 +58,14 @@ class TestSimilarityTransform:
             SimilarityTransform(scale=-1.0)
 
     def test_matrix_form(self):
+        # apply equals the homogeneous 4x4 matrix [sR t; 0 1]
         rng = np.random.default_rng(2)
         t = SimilarityTransform(1.3, random_rotation(rng), rng.normal(size=3))
+        m = np.eye(4)
+        m[:3, :3] = t.scale * t.rotation
+        m[:3, 3] = t.translation
         p = rng.normal(size=3)
-        hom = t.matrix() @ np.append(p, 1.0)
+        hom = m @ np.append(p, 1.0)
         assert np.allclose(hom[:3], t.apply(p))
 
 

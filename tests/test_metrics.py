@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from canontrack.geom import Box3, SimilarityTransform, box_iou_3d, yaw_rotation
-from canontrack.metrics import (GroundTruthInstance, ScoredDetection,
-                                TrackRecord, average_precision, mota,
+from canontrack.metrics import (GroundTruthInstance, MotaBreakdown,
+                                ScoredDetection, TrackRecord,
+                                average_precision, mota,
                                 pose_error_stats, tracklet_dump_to_frames)
 
 
@@ -94,6 +97,23 @@ class TestMota:
         b = mota(pred, gt)
         assert sum(b.false_positives) == 1
         assert b.mota == 0.0
+
+    def test_hypothesis_kept_by_one_object_only(self):
+        # objects 0 and 1 were both last matched to hypothesis 10; in frame 2
+        # object 0 (the lower id) keeps it, so object 1 is a miss
+        gt = {0: [rec(0, 0.0)], 1: [rec(1, 0.0)],
+              2: [rec(0, 0.0), rec(1, 0.1)]}
+        pred = {0: [rec(10, 0.0)], 1: [rec(10, 0.0)], 2: [rec(10, 0.05)]}
+        b = mota(pred, gt)
+        assert (sum(b.misses), sum(b.false_positives),
+                sum(b.mismatches)) == (1, 0, 0)
+        assert b.mota == pytest.approx(0.75)
+
+    def test_undefined_without_ground_truth(self):
+        b = MotaBreakdown([0], [2], [0], [0])
+        assert b.mota is None
+        dumped = json.dumps(b.to_dict(), allow_nan=False)
+        assert json.loads(dumped)["mota"] is None
 
     def test_pred_frames_outside_gt_rejected(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(completion_fraction=1.5).validate()
 
+    def test_rejects_more_objects_than_placement_allows(self):
+        experiment.ExperimentConfig(n_objects=3).validate()
+        with pytest.raises(ValueError, match="at most 3"):
+            experiment.ExperimentConfig(n_objects=4).validate()
+
     def test_no_completion_routes_fraction(self):
         cfg = small_config(no_completion=True, completion_fraction=1.0)
         assert cfg.pipeline_config(0).completion.completion_fraction == 0.0

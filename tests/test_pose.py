@@ -6,7 +6,7 @@ from scipy.spatial.transform import Rotation
 
 from canontrack.geom import SimilarityTransform, rotation_x, yaw_rotation
 from canontrack.pose import (CorrespondenceSet, DegenerateCorrespondences,
-                             SymmetryClass, pose_losses, rotation_error,
+                             SymmetryClass, rotation_error,
                              solve_pose, umeyama_solve)
 
 
@@ -199,43 +199,3 @@ class TestRotationError:
             seed + 1)).as_matrix()
         assert rotation_error(pred, target) == \
             pytest.approx(rotation_error(target, pred), abs=1e-9)
-
-
-class TestPoseLosses:
-    def test_zero_for_equal(self):
-        t = SimilarityTransform(1.5, yaw_rotation(0.3), [1, 2, 3])
-        assert pose_losses(t, t) == pytest.approx((0.0, 0.0, 0.0), abs=1e-12)
-
-    def test_opposite_rotation(self):
-        # ||R(pi) - I||_F = sqrt((-2)^2 + (-2)^2) = 2 sqrt(2)
-        a = SimilarityTransform(rotation=yaw_rotation(np.pi))
-        b = SimilarityTransform()
-        rot, scale, trans = pose_losses(a, b)
-        assert rot == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
-        assert scale == 0.0
-        assert trans == 0.0
-        # ...and the same pair under two-fold symmetry is a perfect match
-        rot2, _, _ = pose_losses(a, b, "two_fold")
-        assert rot2 == pytest.approx(0.0, abs=1e-9)
-
-    def test_scale_translation_terms(self):
-        a = SimilarityTransform(2.0, np.eye(3), [1.0, 0.0, 0.0])
-        b = SimilarityTransform(0.5, np.eye(3), [1.0, 4.0, 0.0])
-        rot, scale, trans = pose_losses(a, b)
-        assert rot == 0.0
-        assert scale == pytest.approx(1.5)
-        assert trans == pytest.approx(4.0)
-
-    def test_cylindrical_loss_matches_group_minimum(self):
-        rng = np.random.default_rng(9)
-        pred = SimilarityTransform(rotation=Rotation.random(
-            random_state=np.random.RandomState(1)).as_matrix())
-        target = SimilarityTransform(rotation=Rotation.random(
-            random_state=np.random.RandomState(2)).as_matrix())
-        analytic, _, _ = pose_losses(pred, target, "cylindrical")
-        thetas = np.linspace(0, 2 * np.pi, 20001)
-        numeric = min(
-            np.linalg.norm(pred.rotation - target.rotation @ yaw_rotation(t))
-            for t in thetas
-        )
-        assert analytic == pytest.approx(numeric, abs=1e-4)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from canontrack import synth
 from canontrack.geom import Box3, SimilarityTransform
@@ -59,6 +60,18 @@ class TestTemplates:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             make_template("sphere", [0.5, 0.5, 0.5])
+
+    def test_dilation_follows_template_churn(self):
+        # templates made and freed in one process reuse addresses; each
+        # lookup must still see its own template's dilation
+        rng = np.random.default_rng(0)
+        kinds = list(synth.TEMPLATE_KINDS)
+        for i in range(300):
+            t = make_template(kinds[i % len(kinds)], rng.uniform(0.3, 0.9, 3))
+            expected = ndimage.binary_dilation(
+                t.canonical_occupancy.bits, iterations=2)
+            assert np.array_equal(t.dilated_occupancy, expected)
+            del t
 
 
 class TestObjectPose:
@@ -196,9 +209,9 @@ class TestSceneScript:
         assert back.frame_count == script.frame_count
         for f in range(script.frame_count):
             for a, b in zip(script.object_poses[f], back.object_poses[f]):
-                assert np.allclose(a.matrix(), b.matrix())
-            assert np.allclose(script.camera_poses[f].matrix(),
-                               back.camera_poses[f].matrix())
+                assert a.to_dict() == b.to_dict()
+            assert script.camera_poses[f].to_dict() == \
+                back.camera_poses[f].to_dict()
         assert [t.kind for t in back.templates] == \
             [t.kind for t in script.templates]
 

@@ -5,7 +5,7 @@ import pytest
 
 from canontrack.geom import Box3
 from canontrack.track import (Detection, Tracker, Tracklet, associate_frame,
-                              hungarian, rescue_match, update_canonical)
+                              hungarian, update_canonical)
 
 
 def brute_force_cost(cost):
@@ -146,46 +146,48 @@ class TestUpdateCanonical:
 
 
 class TestRescueMatch:
-    def tracklet(self, tid, canonical):
-        return Tracklet(id=tid, class_id=0,
-                        last_box=Box3([0, 0, 0], [1, 1, 1]),
-                        canonical_avg=canonical)
+    """The rescue pass of Tracker.finish on two temporally disjoint
+    tracklets: one seen in frame 0, one reappearing far away in frame 2."""
+
+    @staticmethod
+    def merged(first, second, **tracker_args):
+        tracker = Tracker(**tracker_args)
+        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, first)])
+        tracker.step([])
+        tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, second)])
+        return len(tracker.finish()) == 1
 
     def test_same_shape_matches(self):
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
-        r = rescue_match([self.tracklet(0, shape)], [self.tracklet(1, shape)])
-        assert r.matches == [(0, 0, 1.0)]
+        assert self.merged(shape, shape)
 
     def test_different_shape_rejected(self):
         a = grid(*[(i, 0, 0) for i in range(8)])
         b = grid(*[(0, j, 4) for j in range(8)])
-        r = rescue_match([self.tracklet(0, a)], [self.tracklet(1, b)])
-        assert r.matches == []
-        assert r.unmatched_tracklets == [0]
-        assert r.unmatched_detections == [0]
+        assert not self.merged(a, b)
 
     def test_binarization_threshold(self):
         # running-average value 0.5 still counts as occupied (>= threshold)
         a = grid((1, 1, 1))
-        b = grid((1, 1, 1)) * 0.5
-        r = rescue_match([self.tracklet(0, a)], [self.tracklet(1, b)])
-        assert r.matches == [(0, 0, 1.0)]
-        c = grid((1, 1, 1)) * 0.49
-        r = rescue_match([self.tracklet(0, a)], [self.tracklet(1, c)])
-        assert r.matches == []
+        assert self.merged(a, grid((1, 1, 1)) * 0.5)
+        assert not self.merged(a, grid((1, 1, 1)) * 0.49)
+
+    def test_binarize_threshold_setting(self):
+        # averages of 0.8 are occupied at threshold 0.5 and empty at 0.9
+        shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)]) * 0.8
+        assert self.merged(shape, shape, binarize_threshold=0.5)
+        assert not self.merged(shape, shape, binarize_threshold=0.9)
 
     def test_iou_gate(self):
-        # overlap 4 of 12 voxels: IoU = 1/3 >= 0.3 -> matched
+        # overlap 4 of 12 voxels: IoU = 1/3 >= 0.3 -> merged
         a = grid(*[(i, 0, 0) for i in range(8)])
         b = grid(*[(i, 0, 0) for i in range(4, 8)] +
                  [(i, 1, 0) for i in range(4)])
-        r = rescue_match([self.tracklet(0, a)], [self.tracklet(1, b)])
-        assert r.matches and r.matches[0][2] == pytest.approx(1 / 3)
-        # overlap 2 of 14: IoU = 1/7 < 0.3 -> rejected
+        assert self.merged(a, b)
+        # overlap 2 of 14: IoU = 1/7 < 0.3 -> kept apart
         c = grid(*[(i, 0, 0) for i in range(6, 8)] +
                  [(i, 1, 0) for i in range(6)])
-        assert rescue_match([self.tracklet(0, a)],
-                            [self.tracklet(1, c)]).matches == []
+        assert not self.merged(a, c)
 
 
 class TestTracker:

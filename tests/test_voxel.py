@@ -3,9 +3,8 @@ import pytest
 
 from canontrack.geom import Box3, SimilarityTransform
 from canontrack.synth import default_intrinsics, look_at, make_template
-from canontrack.voxel import (DenseTsdfGrid, NocGrid, OccupancyGrid,
-                              binarize, crop_grid, extract_surface,
-                              fuse_depth_frame)
+from canontrack.voxel import (DenseTsdfGrid, binarize, extract_surface,
+                              fuse_depth_frame, lattice_centers, nearest_voxel)
 
 
 def flat_wall_setup(wall_z=1.01, voxel_size=0.05):
@@ -113,54 +112,22 @@ class TestExtractSurface:
         assert len(extract_surface(grid)) == 0
 
 
-class TestCropGrid:
-    def test_tsdf_identity_resample(self):
-        # linear field: trilinear resampling is exact away from the border
-        grid = DenseTsdfGrid.empty(origin=[0, 0, 0], voxel_size=0.05,
-                                   dims=(20, 20, 20), truncation=10.0)
-        grid.values[:] = grid.voxel_centers()[..., 2]
-        grid.weights[:] = 1.0
-        box = Box3([0.5, 0.5, 0.5], [0.4, 0.4, 0.4])
-        crop = crop_grid(grid, box, resolution=16)
-        zc = 0.3 + (np.arange(16) + 0.5) / 16 * 0.4
-        assert np.abs(crop.values[0, 0, :] - zc).max() < 1e-9
-
-    def test_cubifies_box(self):
-        grid = DenseTsdfGrid.empty(origin=[0, 0, 0], voxel_size=0.05,
-                                   dims=(20, 20, 20))
-        grid.weights[:] = 1.0
-        crop = crop_grid(grid, Box3([0.5, 0.5, 0.5], [0.2, 0.4, 0.1]),
-                         resolution=8)
-        assert crop.dims == (8, 8, 8)
-        np.testing.assert_allclose(crop.voxel_size, 0.4 / 8)
-
-    def test_occupancy_nearest(self):
-        bits = np.zeros((10, 10, 10), dtype=bool)
-        bits[5:, :, :] = True
-        grid = OccupancyGrid(bits)
-        bounds = Box3([0.5, 0.5, 0.5], [1.0, 1.0, 1.0])
-        crop = crop_grid(grid, Box3([0.5, 0.5, 0.5], [1.0, 1.0, 1.0]),
-                         bounds=bounds, resolution=10)
-        assert np.array_equal(crop.bits, bits)
-
-    def test_requires_bounds_for_occupancy(self):
-        grid = OccupancyGrid(np.ones((4, 4, 4), dtype=bool))
+class TestLattice:
+    def test_centers_and_read_only(self):
+        c = lattice_centers((2, 3, 4))
+        assert c.shape == (2, 3, 4, 3)
+        assert c[1, 2, 3].tolist() == [1.5, 2.5, 3.5]
+        assert lattice_centers((2, 3, 4)) is c
         with pytest.raises(ValueError):
-            crop_grid(grid, Box3([0, 0, 0], [1, 1, 1]))
+            c[0, 0, 0, 0] = 9.0
 
-    def test_no_overlap_raises(self):
-        grid = DenseTsdfGrid.empty(origin=[0, 0, 0], dims=(4, 4, 4))
-        with pytest.raises(ValueError):
-            crop_grid(grid, Box3([100.0, 0, 0], [1, 1, 1]))
-
-    def test_noc_crop_preserves_coords(self):
-        coords = np.random.default_rng(0).random((6, 6, 6, 3))
-        valid = np.ones((6, 6, 6), dtype=bool)
-        grid = NocGrid(coords, valid)
-        bounds = Box3([0.5, 0.5, 0.5], [1.0, 1.0, 1.0])
-        crop = crop_grid(grid, bounds, bounds=bounds, resolution=6)
-        assert np.allclose(crop.coords, coords)
-        assert crop.valid.all()
+    def test_nearest_voxel(self):
+        grid = np.arange(8).reshape(2, 2, 2)
+        points = np.array([[0.1, 0.1, 0.9], [0.99, 0.6, 0.5],
+                           [-0.01, 0.5, 0.5], [0.5, 0.5, 1.0]])
+        assert nearest_voxel(grid, points).tolist() == [1, 7, 0, 0]
+        channels = np.stack([grid, -grid], axis=-1)
+        assert nearest_voxel(channels, points[:2]).tolist() == [[1, -1], [7, -7]]
 
 
 class TestBinarize:
