@@ -15,7 +15,6 @@ from .geom import Box3, SimilarityTransform
 from .voxel import (OBJECT_RESOLUTION, NocGrid, OccupancyGrid, binarize,
                     lattice_centers, nearest_voxel)
 
-EPS = 1e-12
 
 @dataclass
 class DegradationKnobs:
@@ -118,13 +117,3 @@ def oracle_complete(
         centers=centers,
         full=full.reshape(shape),
     )
-
-
-def completion_loss(pred_prob: np.ndarray, target: OccupancyGrid) -> float:
-    """Mean binary cross-entropy over all voxels."""
-    p = np.asarray(pred_prob, dtype=np.float64)
-    t = np.asarray(getattr(target, "bits", target), dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"grid dims mismatch: {p.shape} vs {t.shape}")
-    p = np.clip(p, EPS, 1.0 - EPS)
-    return float(np.mean(-t * np.log(p) - (1.0 - t) * np.log(1.0 - p)))

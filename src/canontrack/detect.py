@@ -98,22 +98,47 @@ def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
 
 
 def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarray:
-    """Converged position for each seed (seeds are the unique vote voxels)."""
+    """Position after at most `steps` flat-kernel mean-shift steps for each
+    seed (seeds are the unique vote voxels, in np.unique order).
+
+    A step maps a position to the mean of the votes within `radius` of it,
+    summed in ascending vote index, so seeds that reach the same position
+    share every later step and a position the step leaves unchanged bit for
+    bit never moves again.  Equal positions are therefore moved once, fixed
+    points are not moved at all, and the loop ends when no position moves;
+    the result equals moving every seed through every step.
+    """
     seeds = np.unique(np.round(votes), axis=0)
     tree = cKDTree(votes)
-    pts = seeds.astype(np.float64)
+    pts = seeds.astype(np.float64)  # distinct positions
+    of_seed = np.arange(len(pts))  # row of pts holding each seed
+    moving = np.ones(len(pts), dtype=bool)
     for _ in range(steps):
-        neighborhoods = tree.query_ball_point(pts, radius)
-        lens = np.array([len(nb) for nb in neighborhoods])
-        keep = lens > 0
-        if not keep.any():
+        active = np.nonzero(moving)[0]
+        if not len(active):
             break
-        flat = np.concatenate([neighborhoods[i] for i in np.nonzero(keep)[0]])
-        starts = np.zeros(keep.sum(), dtype=np.int64)
-        starts[1:] = np.cumsum(lens[keep])[:-1]
-        sums = np.add.reduceat(votes[flat], starts, axis=0)
-        pts[keep] = sums / lens[keep, None]
-    return pts
+        # Multi-point queries return each neighbourhood in ascending index.
+        neighborhoods = tree.query_ball_point(pts[active], radius)
+        lens = np.fromiter(map(len, neighborhoods), dtype=np.int64,
+                           count=len(active))
+        keep = lens > 0
+        moving[active[~keep]] = False
+        if keep.any():
+            rows = active[keep]
+            flat = np.concatenate([neighborhoods[i] for i in np.nonzero(keep)[0]])
+            starts = np.zeros(len(rows), dtype=np.int64)
+            starts[1:] = np.cumsum(lens[keep])[:-1]
+            new = np.add.reduceat(votes[flat], starts, axis=0) / lens[keep, None]
+            moving[rows] = (new != pts[rows]).any(axis=1)
+            pts[rows] = new
+        pts, merged = np.unique(pts, axis=0, return_inverse=True)
+        merged = merged.reshape(-1)
+        # A row is final when any position merged into it was a fixed point.
+        still = np.ones(len(pts), dtype=bool)
+        still[merged[~moving]] = False
+        moving = still
+        of_seed = merged[of_seed]
+    return pts[of_seed]
 
 
 def mean_shift_proposals(fields: PredictionFields, *,
@@ -121,12 +146,13 @@ def mean_shift_proposals(fields: PredictionFields, *,
     """Cluster center votes into box proposals.
 
     Voxels with objectness >= OBJECTNESS_THRESHOLD vote at voxel +
-    center_offset.  After MEAN_SHIFT_STEPS flat-kernel mean-shift iterations,
-    modes within the kernel radius of a stronger mode are merged into it;
-    votes attach to the nearest surviving mode within the kernel radius;
-    clusters smaller than min_members are dropped.  Extents are
-    average-pooled over members, the class is a majority vote of per-voxel
-    argmax classes, and the box center is the converged mode.
+    center_offset.  After at most MEAN_SHIFT_STEPS flat-kernel mean-shift
+    iterations, stopping once no mode moves, modes within the kernel radius
+    of a stronger mode are merged into it; votes attach to the nearest
+    surviving mode within the kernel radius; clusters smaller than
+    min_members are dropped.  Extents are average-pooled over members, the
+    class is a majority vote of per-voxel argmax classes, and the box center
+    is the converged mode.
     """
     radius = MEAN_SHIFT_RADIUS
     sel = fields.objectness >= OBJECTNESS_THRESHOLD
@@ -137,8 +163,7 @@ def mean_shift_proposals(fields: PredictionFields, *,
     modes = _mean_shift_modes(votes, radius, MEAN_SHIFT_STEPS)
 
     # Support of each candidate mode = votes within the kernel radius.
-    tree = cKDTree(votes)
-    support = np.array([len(nb) for nb in tree.query_ball_point(modes, radius)])
+    support = cKDTree(votes).query_ball_point(modes, radius, return_length=True)
 
     # Greedy merge: strongest mode absorbs everything within the radius.
     order = np.lexsort((modes[:, 2], modes[:, 1], modes[:, 0], -support))

@@ -46,7 +46,7 @@ class DetectionRecord:
     gt_object_id: int | None
     pred_pose: pose.SimilarityTransform | None
     completion_iou: float | None
-    canonical: np.ndarray  # (R, R, R) binary canonical reconstruction
+    canonical: np.ndarray  # (R, R, R) bool canonical reconstruction
 
 
 @dataclass
@@ -84,14 +84,14 @@ def build_sequence_data(script: synth.SceneScript,
 
 def _scatter_canonical(noc, occupied: np.ndarray) -> np.ndarray:
     """Nearest-neighbor scatter of NOC-mapped geometry onto the canonical
-    lattice; collisions max-pool (binary or)."""
-    grid = np.zeros((OBJECT_RESOLUTION,) * 3)
+    lattice as a bool grid; collisions max-pool (binary or)."""
+    grid = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
     coords = noc.coords[occupied & noc.valid]
     if len(coords) == 0:
         return grid
     idx = np.clip(np.floor(coords * OBJECT_RESOLUTION).astype(np.int64),
                   0, OBJECT_RESOLUTION - 1)
-    grid[idx[:, 0], idx[:, 1], idx[:, 2]] = 1.0
+    grid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
     return grid
 
 
@@ -120,7 +120,7 @@ def process_frame(data: SequenceData, frame_idx: int,
 
         pred_pose = None
         completion_iou = None
-        canonical = np.zeros((OBJECT_RESOLUTION,) * 3)
+        canonical = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
         if gt_obj is not None:
             rng = complete.detection_rng(
                 config.seed, config.sequence_id, frame_idx, gt_obj.object_id)

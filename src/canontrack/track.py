@@ -23,7 +23,7 @@ class Detection:
 
     box: Box3
     class_id: int
-    canonical: np.ndarray  # (R, R, R) canonical occupancy in [0, 1]
+    canonical: np.ndarray  # (R, R, R) canonical occupancy, bool or in [0, 1]
     pose: SimilarityTransform | None = None
     score: float = 1.0
 
@@ -171,23 +171,25 @@ class Tracker:
             merged_any = False
             # Re-derive candidates each round: merges change the orphan set.
             candidates = sorted(self.tracklets, key=lambda t: t.first_frame)
-            orphan_list = [t for t in candidates if t.first_frame > 0]
-            base_list = candidates
-            if not orphan_list:
+            orphans = [k for k, t in enumerate(candidates) if t.first_frame > 0]
+            if not orphans:
                 break
-            iou = np.zeros((len(base_list), len(orphan_list)))
-            for i, b in enumerate(base_list):
-                bf = b.frames()
-                for j, o in enumerate(orphan_list):
-                    if b is o or b.first_frame >= o.first_frame:
-                        continue
-                    if bf & o.frames():
-                        continue  # coexisting tracklets are distinct objects
-                    iou[i, j] = volumetric_iou(
-                        binarize(b.canonical_avg, self.binarize_threshold),
-                        binarize(o.canonical_avg, self.binarize_threshold),
-                    )
-            pairs = [(base_list[i], orphan_list[j])
+            frames = [t.frames() for t in candidates]
+            # Coexisting tracklets are distinct objects.
+            eligible = [(i, j) for i, b in enumerate(candidates)
+                        for j, k in enumerate(orphans)
+                        if b.first_frame < candidates[k].first_frame
+                        and not frames[i] & frames[k]]
+            # Averages change only in _merge, after the IoU matrix is built,
+            # so each tracklet is binarized once per round.
+            bits = {k: binarize(candidates[k].canonical_avg,
+                                self.binarize_threshold)
+                    for k in ({i for i, _ in eligible}
+                              | {orphans[j] for _, j in eligible})}
+            iou = np.zeros((len(candidates), len(orphans)))
+            for i, j in eligible:
+                iou[i, j] = volumetric_iou(bits[i], bits[orphans[j]])
+            pairs = [(candidates[i], candidates[orphans[j]])
                      for i, j in gated_assignment(iou, self.rescue_iou)]
             # Apply non-conflicting merges (a base absorbed this round cannot
             # also be merged away).

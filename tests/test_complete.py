@@ -3,11 +3,10 @@ import pytest
 from scipy.stats import spearmanr
 
 from canontrack import synth
-from canontrack.complete import (DegradationKnobs, completion_loss,
-                                 detection_rng, oracle_complete)
+from canontrack.complete import (DegradationKnobs, detection_rng,
+                                 oracle_complete)
 from canontrack.geom import volumetric_iou
 from canontrack.pose import solve_pose
-from canontrack.voxel import OccupancyGrid
 
 
 def posed_object(kind="l_shape", yaw=0.8, seed=0):
@@ -124,29 +123,3 @@ class TestOracleComplete:
         far = Box3([50.0, 50.0, 50.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             oracle_complete(far, template, pose, visible)
-
-
-class TestCompletionLoss:
-    def test_perfect_prediction(self):
-        t = np.random.default_rng(0).random((4, 4, 4)) > 0.5
-        assert completion_loss(t.astype(float), OccupancyGrid(t)) < 1e-10
-
-    def test_uniform_half_is_ln2(self):
-        t = OccupancyGrid(np.random.default_rng(1).random((4, 4, 4)) > 0.5)
-        p = np.full((4, 4, 4), 0.5)
-        assert completion_loss(p, t) == pytest.approx(np.log(2.0), abs=1e-12)
-
-    def test_mixed_known_value(self):
-        # 1 of 8 voxels predicted 0.5 for a true voxel, rest perfect:
-        # mean BCE = ln2 / 8
-        t = np.zeros((2, 2, 2), dtype=bool)
-        t[0, 0, 0] = True
-        p = np.zeros((2, 2, 2))
-        p[0, 0, 0] = 0.5
-        assert completion_loss(p, OccupancyGrid(t)) == \
-            pytest.approx(np.log(2.0) / 8, abs=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            completion_loss(np.zeros((2, 2, 2)),
-                            OccupancyGrid(np.zeros((3, 3, 3), dtype=bool)))

@@ -1,9 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from canontrack import synth
+from canontrack import detect, synth
 from canontrack.detect import (DetectorKnobs, PredictionFields, Proposal,
                                binary_cross_entropy, detection_losses,
                                make_oracle_fields, mean_shift_proposals,
@@ -211,6 +214,93 @@ class TestMeanShift:
         expected = np.array([1.0, 2.0, 3.0]) + (40.0 + 0.5) * 0.05
         assert np.allclose(p.box.center, expected, atol=1e-9)
         assert np.allclose(p.box.extents, 10 * 0.05, atol=1e-9)
+
+
+def reference_mean_shift_modes(votes, radius, steps):
+    """Every seed through every one of `steps` flat-kernel steps: the loop
+    that _mean_shift_modes must reproduce bit for bit."""
+    seeds = np.unique(np.round(votes), axis=0)
+    tree = cKDTree(votes)
+    pts = seeds.astype(np.float64)
+    for _ in range(steps):
+        neighborhoods = tree.query_ball_point(pts, radius)
+        lens = np.array([len(nb) for nb in neighborhoods])
+        keep = lens > 0
+        if not keep.any():
+            break
+        flat = np.concatenate([neighborhoods[i] for i in np.nonzero(keep)[0]])
+        starts = np.zeros(keep.sum(), dtype=np.int64)
+        starts[1:] = np.cumsum(lens[keep])[:-1]
+        sums = np.add.reduceat(votes[flat], starts, axis=0)
+        pts[keep] = sums / lens[keep, None]
+    return pts
+
+
+@st.composite
+def clustered_votes(draw):
+    """Jittered clusters of votes, some votes repeated exactly, and one
+    vote isolated from every cluster."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(20, 80))
+        jitter = draw(st.sampled_from([0.0, 0.5, 2.0, 4.0]))
+        parts.append(rng.uniform(10.0, 60.0, 3) + rng.normal(0.0, jitter, (n, 3)))
+    votes = np.vstack(parts)
+    repeated = rng.integers(0, len(votes), draw(st.integers(0, 20)))
+    isolated = rng.uniform(100.0, 120.0, (1, 3))
+    return np.vstack([votes, votes[repeated], isolated])
+
+
+class CountingTree(cKDTree):
+    calls = 0
+
+    def query_ball_point(self, *args, **kwargs):
+        CountingTree.calls += 1
+        return super().query_ball_point(*args, **kwargs)
+
+
+class TestMeanShiftMatchesReference:
+    @given(clustered_votes())
+    @settings(max_examples=40, deadline=None)
+    def test_modes_bitwise_equal(self, votes):
+        got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                       detect.MEAN_SHIFT_STEPS)
+        want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                          detect.MEAN_SHIFT_STEPS)
+        assert got.tobytes() == want.tobytes()
+
+    @given(clustered_votes(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_proposals_equal(self, votes, seed):
+        rng = np.random.default_rng(seed)
+        n = len(votes)
+        voxels = np.round(votes + rng.normal(0.0, 3.0, (n, 3))).astype(int)
+        f = fields_for(voxels, np.ones(n), votes - voxels,
+                       rng.uniform(2.0, 12.0, (n, 3)), rng.integers(0, 3, n))
+        got = mean_shift_proposals(f, min_members=10)
+        with mock.patch.object(detect, "_mean_shift_modes",
+                               reference_mean_shift_modes):
+            want = mean_shift_proposals(f, min_members=10)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.box.center.tobytes() == b.box.center.tobytes()
+            assert a.box.extents.tobytes() == b.box.extents.tobytes()
+            assert a.class_id == b.class_id
+            assert np.array_equal(a.member_indices, b.member_indices)
+
+    @pytest.mark.parametrize("center", [[40.0, 40.0, 40.0],
+                                        [33.3, 41.7, 25.1]])
+    def test_noise_free_votes_stop_after_two_steps(self, center):
+        votes = np.tile(center, (60, 1))
+        CountingTree.calls = 0
+        with mock.patch.object(detect, "cKDTree", CountingTree):
+            got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                           detect.MEAN_SHIFT_STEPS)
+        assert CountingTree.calls <= 2
+        want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                          detect.MEAN_SHIFT_STEPS)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOracleFields:

@@ -1,9 +1,19 @@
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from canontrack import experiment, metrics, pipeline, synth
+
+
+def noisy_config(**kwargs):
+    """Two short sequences with noisy detector and completion oracles."""
+    return small_config(n_sequences=2, n_frames=3, motion="fast",
+                        detector_center_jitter=1.0, detector_flip_rate=0.05,
+                        noc_noise=0.01, occupancy_flip_rate=0.02, **kwargs)
 
 
 def small_config(**kwargs):
@@ -122,6 +132,29 @@ class TestRunExperiment:
         assert set(s) >= {"config", "mean_mota", "mean_completion_iou",
                           "per_sequence"}
         assert list(s["per_sequence"]) == [0]
+
+    def test_worker_count_does_not_change_summary(self):
+        cfg = noisy_config()
+        one = experiment.run_experiment(replace(cfg, workers=1),
+                                        write_outputs=False)
+        two = experiment.run_experiment(replace(cfg, workers=2),
+                                        write_outputs=False)
+        assert one["config"].pop("workers") == 1
+        assert two["config"].pop("workers") == 2
+        assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
+
+    def test_sequence_in_batch_equals_sequence_alone(self, tmp_path):
+        cfg = noisy_config(output_dir=str(tmp_path))
+        batch = experiment.run_experiment(cfg)
+        # Alone: a fresh interpreter that has tracked nothing before.
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            sid, dump, _, scores = pool.submit(
+                experiment.track_sequence, cfg, 1).result(timeout=300)
+        assert sid == 1
+        written = json.loads((tmp_path / "tracklets_seq0001.json").read_text())
+        assert json.loads(json.dumps(dump)) == written
+        assert scores == batch["per_sequence"][1]
 
     def test_gt_frame_records(self):
         cfg = small_config(n_frames=2)
