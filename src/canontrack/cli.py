@@ -8,7 +8,7 @@ from pathlib import Path
 
 import click
 
-from . import experiment, metrics
+from . import experiment
 
 ABLATIONS = ("no_completion", "no_correspondence_matching")
 
@@ -77,17 +77,13 @@ def generate(config_path, seed, ablation, output):
 @main.command()
 @common_options
 def track(config_path, seed, ablation, output):
-    """Run the full pipeline, writing tracklet and ground-truth dumps."""
+    """Run the full pipeline, writing tracklet and ground-truth dumps,
+    scores and the summary."""
     try:
         cfg = _load_config(config_path, seed, ablation, output)
-        out = Path(cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for sid in range(cfg.n_sequences):
-            _, dump, gt, scores = experiment.track_sequence(cfg, sid)
-            experiment.write_json(out / f"tracklets_seq{sid:04d}.json", dump)
-            experiment.write_json(out / f"gt_seq{sid:04d}.json", gt)
-            experiment.write_json(out / f"scores_seq{sid:04d}.json", scores)
-        click.echo(f"tracked {cfg.n_sequences} sequences into {out}")
+        experiment.run_experiment(cfg)
+        click.echo(f"tracked {cfg.n_sequences} sequences into "
+                   f"{cfg.output_dir}")
     except Exception as exc:  # noqa: BLE001
         _fail(exc)
 
@@ -105,18 +101,7 @@ def eval_cmd(config_path, seed, ablation, output):
                 dump = json.load(f)
             with open(out / f"gt_seq{sid:04d}.json") as f:
                 gt = json.load(f)
-            gt_frames = {
-                fr["frame"]: [
-                    metrics.TrackRecord(o["id"], o["box"]["center"], o["class_id"])
-                    for o in fr["objects"]
-                ]
-                for fr in gt["frames"]
-            }
-            breakdown = metrics.mota(
-                metrics.tracklet_dump_to_frames(dump), gt_frames,
-                cfg.mota_gate, cfg.class_gated_mota)
-            scores = {"mota": breakdown.mota,
-                      "mota_breakdown": breakdown.to_dict()}
+            scores = experiment.score_tracking(dump, gt, cfg)
             scores_path = out / f"scores_seq{sid:04d}.json"
             if scores_path.exists():
                 with open(scores_path) as f:

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
-from .voxel import (OBJECT_RESOLUTION, NocGrid, OccupancyGrid, binarize,
-                    lattice_centers, nearest_voxel)
+from .voxel import OBJECT_RESOLUTION, NocGrid, lattice_centers, nearest_voxel
 
 
 @dataclass
@@ -29,14 +28,10 @@ class DegradationKnobs:
 
 @dataclass
 class CompletionOutput:
-    occupancy_prob: np.ndarray  # (R, R, R) in [0, 1]
+    occupancy: np.ndarray  # (R, R, R) bool, the completed occupancy
     noc: NocGrid
-    crop: Box3  # cube the R^3 grids cover, world space
     centers: np.ndarray  # (R, R, R, 3) world-space crop voxel centers
     full: np.ndarray  # (R, R, R) bool, the undegraded ground-truth occupancy
-
-    def occupancy(self, threshold: float = 0.5) -> OccupancyGrid:
-        return binarize(self.occupancy_prob, threshold)
 
 
 def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
@@ -111,9 +106,8 @@ def oracle_complete(
     coords[~valid] = 0.0
 
     return CompletionOutput(
-        occupancy_prob=occ.astype(np.float64).reshape(shape),
+        occupancy=occ.reshape(shape),
         noc=NocGrid(coords.reshape(shape + (3,)), valid.reshape(shape)),
-        crop=cube,
         centers=centers,
         full=full.reshape(shape),
     )

@@ -62,9 +62,8 @@ class DetectionTargets:
 class Proposal:
     box: Box3
     class_id: int
-    member_voxels: np.ndarray  # (M, 3) int
     mean_objectness: float
-    member_indices: np.ndarray = None  # (M,) indices into the input fields
+    member_indices: np.ndarray  # (M,) indices into the input fields
 
 
 def smooth_l1(x) -> np.ndarray:
@@ -98,8 +97,9 @@ def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
 
 
 def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarray:
-    """Position after at most `steps` flat-kernel mean-shift steps for each
-    seed (seeds are the unique vote voxels, in np.unique order).
+    """Distinct positions reached by at most `steps` flat-kernel mean-shift
+    steps from the seeds (the unique vote voxels): each mode once, in
+    np.unique order.
 
     A step maps a position to the mean of the votes within `radius` of it,
     summed in ascending vote index, so seeds that reach the same position
@@ -111,7 +111,6 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
     seeds = np.unique(np.round(votes), axis=0)
     tree = cKDTree(votes)
     pts = seeds.astype(np.float64)  # distinct positions
-    of_seed = np.arange(len(pts))  # row of pts holding each seed
     moving = np.ones(len(pts), dtype=bool)
     for _ in range(steps):
         active = np.nonzero(moving)[0]
@@ -137,8 +136,7 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
         still = np.ones(len(pts), dtype=bool)
         still[merged[~moving]] = False
         moving = still
-        of_seed = merged[of_seed]
-    return pts[of_seed]
+    return pts
 
 
 def mean_shift_proposals(fields: PredictionFields, *,
@@ -197,7 +195,6 @@ def mean_shift_proposals(fields: PredictionFields, *,
             Proposal(
                 box=box,
                 class_id=class_id,
-                member_voxels=fields.voxels[gi],
                 mean_objectness=float(fields.objectness[gi].mean()),
                 member_indices=gi,
             )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, pipeline, synth
+from . import metrics, pipeline, synth, track
 from .complete import DegradationKnobs
 from .detect import DetectorKnobs
 from .geom import box_iou_3d, volumetric_iou
@@ -43,28 +43,36 @@ class ExperimentConfig:
     no_completion: bool = False  # "no compl.": visible-only geometry
     no_correspondence_matching: bool = False  # "no corr.": skip rescue pass
     # matching thresholds and gates
-    association_iou: float = 0.3
-    rescue_iou: float = 0.3
-    binarize_threshold: float = 0.5
-    mota_gate: float = 0.25
+    association_iou: float = track.ASSOCIATION_IOU
+    rescue_iou: float = track.RESCUE_IOU
+    binarize_threshold: float = track.BINARIZE_THRESHOLD
+    mota_gate: float = metrics.MOTA_GATE
     class_gated_association: bool = False
     class_gated_mota: bool = False
     output_dir: str = "out"
     workers: int = 1
 
     def validate(self) -> None:
-        for name in ("association_iou", "rescue_iou", "binarize_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
-        if self.mota_gate <= 0:
-            raise ValueError("mota_gate must be positive")
-        if not 0.0 <= self.completion_fraction <= 1.0:
-            raise ValueError("completion_fraction must be in [0, 1]")
+        ranges = [  # (fields, accepted values, the condition in words)
+            (("association_iou", "rescue_iou", "binarize_threshold"),
+             lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+            (("completion_fraction", "occupancy_flip_rate",
+              "detector_flip_rate", "detector_class_confusion"),
+             lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+            (("noc_noise", "detector_center_jitter", "detector_extent_jitter"),
+             lambda v: v >= 0.0, "non-negative"),
+            (("mota_gate", "voxel_size"), lambda v: v > 0.0, "positive"),
+            (("n_sequences", "n_frames", "n_objects", "jump_period",
+              "image_width", "image_height", "workers"),
+             lambda v: v >= 1, "at least 1"),
+        ]
+        for names, ok, condition in ranges:
+            for name in names:
+                v = getattr(self, name)
+                if not ok(v):
+                    raise ValueError(f"{name} must be {condition}, got {v}")
         if self.motion not in ("slow", "fast"):
             raise ValueError("motion must be 'slow' or 'fast'")
-        if self.n_sequences < 1 or self.n_frames < 1 or self.n_objects < 1:
-            raise ValueError("counts must be positive")
         if self.n_objects > synth.MAX_OBJECTS:
             raise ValueError(
                 f"n_objects must be at most {synth.MAX_OBJECTS}, got "
@@ -139,24 +147,25 @@ def _sequence_seed(seed: int, sequence_id: int) -> int:
     return int(np.random.SeedSequence((seed, sequence_id)).generate_state(1)[0])
 
 
-def gt_frame_records(gt_frames) -> dict:
-    out = {}
-    for gt in gt_frames:
-        out[gt.index] = [
-            metrics.TrackRecord(o.object_id, o.box.center, o.class_id)
-            for o in gt.objects
+def score_tracking(dump: dict, gt_dump: dict,
+                   config: ExperimentConfig) -> dict:
+    """CLEAR-MOT scores of a tracklet dump (track.Tracker.dump) against a
+    ground-truth dump (gt_to_dict): {"mota", "mota_breakdown"}."""
+    gt_frames = {
+        fr["frame"]: [
+            metrics.TrackRecord(o["id"], o["box"]["center"], o["class_id"])
+            for o in fr["objects"]
         ]
-    return out
+        for fr in gt_dump["frames"]
+    }
+    breakdown = metrics.mota(metrics.tracklet_dump_to_frames(dump), gt_frames,
+                             config.mota_gate, config.class_gated_mota)
+    return {"mota": breakdown.mota, "mota_breakdown": breakdown.to_dict()}
 
 
 def score_sequence(result: pipeline.SequenceResult,
                    config: ExperimentConfig) -> dict:
     """All per-sequence metrics from a pipeline result."""
-    gt_frames = gt_frame_records(result.gt_frames)
-    pred_frames = metrics.tracklet_dump_to_frames(result.dump)
-    breakdown = metrics.mota(pred_frames, gt_frames, config.mota_gate,
-                             config.class_gated_mota)
-
     gt_by_id = {}
     for gt in result.gt_frames:
         for o in gt.objects:
@@ -178,7 +187,7 @@ def score_sequence(result: pipeline.SequenceResult,
             d.proposal.box))
         comp_scored.append(metrics.ScoredDetection(
             d.frame, d.proposal.class_id, d.proposal.mean_objectness,
-            d.canonical >= config.binarize_threshold))
+            d.canonical))
         if d.gt_object_id is not None and d.pred_pose is not None:
             obj = gt_by_id[(d.frame, d.gt_object_id)]
             pose_pairs.append((d.pred_pose, obj.pose, obj.symmetry))
@@ -192,8 +201,7 @@ def score_sequence(result: pipeline.SequenceResult,
 
     losses = np.mean(np.array(result.detection_losses), axis=0)
     return {
-        "mota": breakdown.mota,
-        "mota_breakdown": breakdown.to_dict(),
+        **score_tracking(result.dump, gt_to_dict(result.gt_frames), config),
         "median_rotation_error_deg": med_rot,
         "median_translation_error_m": med_trans,
         "detection_map_50": det_ap["map"],
@@ -265,8 +273,10 @@ def run_experiment(config: ExperimentConfig,
                    write_outputs: bool = True) -> dict:
     """Run all sequences and aggregate; deterministic given (config, seed).
 
-    Writes per-sequence tracklet dumps, a metrics JSON and a flat CSV into
-    config.output_dir when write_outputs is set.
+    When write_outputs is set, writes into config.output_dir, per sequence,
+    the tracklet dump (tracklets_seqNNNN.json), the ground-truth dump
+    (gt_seqNNNN.json) and the scores (scores_seqNNNN.json), then the summary
+    (metrics.json) and its flat CSV (metrics.csv).
     """
     config.validate()
     ids = range(config.n_sequences)
@@ -280,8 +290,10 @@ def run_experiment(config: ExperimentConfig,
     if write_outputs:
         out = Path(config.output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for sid, dump, _, _ in results:
+        for sid, dump, gt, scores in results:
             write_json(out / f"tracklets_seq{sid:04d}.json", dump)
+            write_json(out / f"gt_seq{sid:04d}.json", gt)
+            write_json(out / f"scores_seq{sid:04d}.json", scores)
         write_json(out / "metrics.json", summary, indent=2)
         write_csv(out / "metrics.csv", [summary])
     return summary

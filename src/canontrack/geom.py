@@ -106,10 +106,9 @@ class Box3:
     def volume(self) -> float:
         return float(np.prod(self.extents))
 
-    def cubified(self, padding: float = 1.0) -> "Box3":
-        """Bounding cube with side = padding * max extent, same center."""
-        side = padding * float(self.extents.max())
-        return Box3(self.center, np.full(3, side))
+    def cubified(self) -> "Box3":
+        """Bounding cube with side = max extent, same center."""
+        return Box3(self.center, np.full(3, float(self.extents.max())))
 
     def contains(self, points) -> np.ndarray:
         p = np.asarray(points, dtype=np.float64)

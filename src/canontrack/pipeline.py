@@ -12,6 +12,8 @@ from .geom import box_iou_3d, volumetric_iou
 from .voxel import (OBJECT_RESOLUTION, DenseTsdfGrid, extract_surface,
                     fuse_depth_frame)
 
+GT_MATCH_IOU = 0.05  # proposal -> ground-truth pairing for the oracles
+
 
 @dataclass
 class PipelineConfig:
@@ -26,7 +28,6 @@ class PipelineConfig:
     seed: int = 0
     sequence_id: int = 0
     min_cluster_size: int = 50
-    gt_match_iou: float = 0.05  # proposal -> GT pairing for the oracle
 
 
 @dataclass
@@ -82,17 +83,39 @@ def build_sequence_data(script: synth.SceneScript,
     return SequenceData(script, gt_frames, surfaces)
 
 
-def _scatter_canonical(noc, occupied: np.ndarray) -> np.ndarray:
-    """Nearest-neighbor scatter of NOC-mapped geometry onto the canonical
-    lattice as a bool grid; collisions max-pool (binary or)."""
+def _scatter_canonical(coords: np.ndarray) -> np.ndarray:
+    """Nearest-neighbor scatter of (N, 3) canonical coordinates onto the
+    canonical lattice as a bool grid; collisions max-pool (binary or)."""
     grid = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
-    coords = noc.coords[occupied & noc.valid]
     if len(coords) == 0:
         return grid
     idx = np.clip(np.floor(coords * OBJECT_RESOLUTION).astype(np.int64),
                   0, OBJECT_RESOLUTION - 1)
     grid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
     return grid
+
+
+def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
+                        config: PipelineConfig) -> tuple:
+    """(pose or None, completion IoU, canonical grid) of a proposal matched
+    to a ground-truth object.  The crop-sized grids of the completion are
+    freed on return, before the next detection's."""
+    rng = complete.detection_rng(
+        config.seed, config.sequence_id, frame_idx, gt_obj.object_id)
+    out = complete.oracle_complete(
+        proposal.box, gt_obj.template, gt_obj.pose,
+        gt_obj.visible_voxels, config.completion, rng)
+    # noc.valid is the completed occupancy within the object.
+    support = out.noc.valid
+    coords = out.noc.coords[support]
+    pred_pose = None
+    if len(coords) >= 3:
+        try:
+            pred_pose = pose.solve_pose(coords, out.centers[support])
+        except pose.DegenerateCorrespondences:
+            pred_pose = None
+    return (pred_pose, volumetric_iou(out.occupancy, out.full),
+            _scatter_canonical(coords))
 
 
 def process_frame(data: SequenceData, frame_idx: int,
@@ -112,7 +135,7 @@ def process_frame(data: SequenceData, frame_idx: int,
     records = []
     for proposal in proposals:
         gt_obj = None
-        best = config.gt_match_iou
+        best = GT_MATCH_IOU
         for obj in gt.objects:
             iou = box_iou_3d(proposal.box, obj.box)
             if iou >= best:
@@ -122,28 +145,14 @@ def process_frame(data: SequenceData, frame_idx: int,
         completion_iou = None
         canonical = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
         if gt_obj is not None:
-            rng = complete.detection_rng(
-                config.seed, config.sequence_id, frame_idx, gt_obj.object_id)
-            out = complete.oracle_complete(
-                proposal.box, gt_obj.template, gt_obj.pose,
-                gt_obj.visible_voxels, config.completion, rng)
-            occ = out.occupancy(config.binarize_threshold).bits
-            support = occ & out.noc.valid
-            if support.sum() >= 3:
-                try:
-                    pred_pose = pose.solve_pose(
-                        out.noc.coords[support], out.centers[support])
-                except pose.DegenerateCorrespondences:
-                    pred_pose = None
-            canonical = _scatter_canonical(out.noc, occ)
-            completion_iou = volumetric_iou(occ, out.full)
+            pred_pose, completion_iou, canonical = _complete_detection(
+                proposal, gt_obj, frame_idx, config)
 
         tracker_dets.append(track.Detection(
             box=proposal.box,
             class_id=proposal.class_id,
             canonical=canonical,
             pose=pred_pose,
-            score=proposal.mean_objectness,
         ))
         records.append(DetectionRecord(
             frame=frame_idx,

@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .geom import Box3, SimilarityTransform, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, NocGrid, OccupancyGrid,
-                    lattice_centers, nearest_voxel)
+                    depth_at, lattice_centers, nearest_voxel)
 
 # Random scenes place objects within PLACEMENT_RADIUS of the origin, at least
 # MIN_SEPARATION apart.  Over seeds 0-299, placement failed for 0 scenes of 3
@@ -28,6 +28,7 @@ PLACEMENT_RADIUS = 1.0  # meters
 MIN_SEPARATION = 0.95  # meters
 MAX_OBJECTS = 3
 JUMP_PERIOD = 3  # frames between jumps in "fast" motion
+REFINE_ITERS = 40  # bisection steps of a ray's first hit
 
 # kind -> (class id, symmetry, square footprint required)
 TEMPLATE_KINDS = {
@@ -316,13 +317,13 @@ def _ray_box(o, d, lo, hi):
     return tmin, tmax
 
 
-def _raycast_object(origin_c, dirs_c, bits, lo, hi, step_c: float,
-                    refine_iters: int = 40) -> np.ndarray:
+def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
     """First-hit ray parameter against a canonical occupancy, inf for misses.
 
     The parameter is shared with the world-space ray, so the result is
     directly the camera z-depth.
     """
+    step_c = 0.5 / bits.shape[0]
     n = len(dirs_c)
     hit = np.full(n, np.inf)
     norm = np.linalg.norm(dirs_c, axis=1)
@@ -355,7 +356,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi, step_c: float,
         lo_s = np.maximum(found[gi] - ds[gi], s0c[gi])
         hi_s = found[gi]
         d_g = d_cand[gi]
-        for _ in range(refine_iters):
+        for _ in range(REFINE_ITERS):
             mid = 0.5 * (lo_s + hi_s)
             occ = nearest_voxel(bits, origin_c[None, :] + mid[:, None] * d_g)
             hi_s = np.where(occ, mid, hi_s)
@@ -396,9 +397,8 @@ def render_frame(script: SceneScript, frame_idx: int,
         o_c = inv.apply(o)
         d_c = dirs @ (inv.scale * inv.rotation).T
         lo, hi = template.canonical_bbox()
-        res = template.canonical_occupancy.dims[0]
         hit = _raycast_object(o_c, d_c, template.canonical_occupancy.bits,
-                              lo, hi, step_c=0.5 / res)
+                              lo, hi)
         closer = hit < zbuf
         zbuf[closer] = hit[closer]
 
@@ -412,16 +412,8 @@ def render_frame(script: SceneScript, frame_idx: int,
         centers_c = (surf + 0.5) / res
         w = pose.apply(centers_c)
         pc = cam.inverse().apply(w)
-        z = pc[:, 2]
-        vis = np.zeros(len(surf), dtype=bool)
-        front = z > 1e-6
-        u = np.floor(intr.fx * pc[front, 0] / z[front] + intr.cx).astype(np.int64)
-        v = np.floor(intr.fy * pc[front, 1] / z[front] + intr.cy).astype(np.int64)
-        ok = (u >= 0) & (u < intr.width) & (v >= 0) & (v < intr.height)
-        d_px = np.zeros(ok.shape)
-        d_px[ok] = depth[v[ok], u[ok]]
-        vis_front = ok & (d_px > 0) & (np.abs(d_px - z[front]) < visibility_band)
-        vis[np.nonzero(front)[0][vis_front]] = True
+        d_px = depth_at(depth, intr, pc)
+        vis = (d_px > 0) & (np.abs(d_px - pc[:, 2]) < visibility_band)
         objects.append(
             GroundTruthObject(
                 object_id=oi,

@@ -3,7 +3,7 @@ canonical reconstruction, and the second-pass canonical-IoU rescue matching."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,27 +25,30 @@ class Detection:
     class_id: int
     canonical: np.ndarray  # (R, R, R) canonical occupancy, bool or in [0, 1]
     pose: SimilarityTransform | None = None
-    score: float = 1.0
 
 
 @dataclass
 class Tracklet:
     id: int
     class_id: int
-    last_box: Box3
     canonical_avg: np.ndarray
-    pose_history: list = field(default_factory=list)  # (frame, SimilarityTransform|None)
-    box_history: list = field(default_factory=list)  # (frame, Box3)
-    first_frame: int = 0
+    history: list  # (frame, Box3, SimilarityTransform | None), by frame
+
+    @property
+    def first_frame(self) -> int:
+        return self.history[0][0]
+
+    @property
+    def last_box(self) -> Box3:
+        return self.history[-1][1]
 
     def frames(self) -> set:
-        return {f for f, _ in self.box_history}
+        return {f for f, _, _ in self.history}
 
 
 @dataclass
 class AssignmentResult:
     matches: list  # (tracklet id, detection index, score)
-    unmatched_tracklets: list  # tracklet ids
     unmatched_detections: list  # detection indices
 
 
@@ -73,8 +76,7 @@ def associate_frame(tracklets: list, detections: list,
     """Match detections to tracklets by Hungarian on 1 - box IoU, rejecting
     matches under the IoU threshold."""
     if not tracklets or not detections:
-        return AssignmentResult([], [t.id for t in tracklets],
-                                list(range(len(detections))))
+        return AssignmentResult([], list(range(len(detections))))
     iou = np.zeros((len(tracklets), len(detections)))
     for i, t in enumerate(tracklets):
         for j, d in enumerate(detections):
@@ -82,26 +84,22 @@ def associate_frame(tracklets: list, detections: list,
                 continue
             iou[i, j] = box_iou_3d(t.last_box, d.box)
     pairs = gated_assignment(iou, iou_threshold)
-    matched_t = {i for i, _ in pairs}
     matched_d = {j for _, j in pairs}
     return AssignmentResult(
         matches=[(tracklets[i].id, j, float(iou[i, j])) for i, j in pairs],
-        unmatched_tracklets=[t.id for i, t in enumerate(tracklets)
-                             if i not in matched_t],
         unmatched_detections=[j for j in range(len(detections))
                               if j not in matched_d],
     )
 
 
-def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray,
-                     old_weight: float = RUNNING_AVERAGE_OLD_WEIGHT) -> None:
-    """Running mean: avg <- old_weight * avg + (1 - old_weight) * new."""
+def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray) -> None:
+    """Running mean: avg <- w * avg + (1 - w) * new, with w the
+    RUNNING_AVERAGE_OLD_WEIGHT."""
+    w = RUNNING_AVERAGE_OLD_WEIGHT
     new_canonical = np.asarray(new_canonical, dtype=np.float64)
     if new_canonical.shape != tracklet.canonical_avg.shape:
         raise ValueError("canonical grid dims mismatch")
-    tracklet.canonical_avg = (
-        old_weight * tracklet.canonical_avg + (1.0 - old_weight) * new_canonical
-    )
+    tracklet.canonical_avg = w * tracklet.canonical_avg + (1.0 - w) * new_canonical
 
 
 class Tracker:
@@ -129,11 +127,8 @@ class Tracker:
         t = Tracklet(
             id=self._next_id,
             class_id=det.class_id,
-            last_box=det.box,
             canonical_avg=np.asarray(det.canonical, dtype=np.float64).copy(),
-            pose_history=[(frame, det.pose)],
-            box_history=[(frame, det.box)],
-            first_frame=frame,
+            history=[(frame, det.box, det.pose)],
         )
         self._next_id += 1
         self.tracklets.append(t)
@@ -147,9 +142,7 @@ class Tracker:
         for tid, j, _ in result.matches:
             t = by_id[tid]
             det = detections[j]
-            t.last_box = det.box
-            t.box_history.append((frame, det.box))
-            t.pose_history.append((frame, det.pose))
+            t.history.append((frame, det.box, det.pose))
             update_canonical(t, det.canonical)
         for j in result.unmatched_detections:
             self._new_tracklet(detections[j], frame)
@@ -205,13 +198,9 @@ class Tracker:
         return self.tracklets
 
     def _merge(self, base: Tracklet, orphan: Tracklet) -> None:
-        base.box_history = sorted(base.box_history + orphan.box_history,
-                                  key=lambda x: x[0])
-        base.pose_history = sorted(
-            base.pose_history + orphan.pose_history, key=lambda x: x[0]
-        )
-        last_frame, last_box = max(base.box_history, key=lambda x: x[0])
-        base.last_box = last_box
+        # The two share no frame (coexisting tracklets never merge).
+        base.history = sorted(base.history + orphan.history,
+                              key=lambda x: x[0])
         update_canonical(base, orphan.canonical_avg)
         self.tracklets.remove(orphan)
 
@@ -231,7 +220,7 @@ class Tracker:
                             "box": box.to_dict(),
                             "pose": pose.to_dict() if pose is not None else None,
                         }
-                        for (f, box), (_, pose) in zip(t.box_history, t.pose_history)
+                        for f, box, pose in t.history
                     ],
                 }
                 for t in sorted(self.tracklets, key=lambda t: t.id)

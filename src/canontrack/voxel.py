@@ -157,9 +157,6 @@ class OccupancyGrid:
     def dims(self) -> tuple:
         return self.bits.shape
 
-    def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
 
 @dataclass
 class NocGrid:
@@ -181,6 +178,22 @@ class NocGrid:
     @property
     def dims(self) -> tuple:
         return self.valid.shape
+
+
+def depth_at(depth: np.ndarray, intrinsics: CameraIntrinsics,
+             points_cam: np.ndarray) -> np.ndarray:
+    """Depth of the pixel each (N, 3) camera-frame point projects into; 0 for
+    points behind the camera or off the image."""
+    z = points_cam[:, 2]
+    front = np.nonzero(z > 1e-6)[0]
+    u = np.floor(intrinsics.fx * points_cam[front, 0] / z[front]
+                 + intrinsics.cx).astype(np.int64)
+    v = np.floor(intrinsics.fy * points_cam[front, 1] / z[front]
+                 + intrinsics.cy).astype(np.int64)
+    ok = (u >= 0) & (u < intrinsics.width) & (v >= 0) & (v < intrinsics.height)
+    d = np.zeros(len(points_cam))
+    d[front[ok]] = depth[v[ok], u[ok]]
+    return d
 
 
 def fuse_depth_frame(
@@ -205,27 +218,8 @@ def fuse_depth_frame(
     world_to_cam = camera_pose.inverse()
     cam = world_to_cam.apply(centers)
     z = cam[:, 2]
-    in_front = z > 1e-6
-
-    u = np.full(len(cam), -1, dtype=np.int64)
-    v = np.full(len(cam), -1, dtype=np.int64)
-    u[in_front] = np.floor(
-        intrinsics.fx * cam[in_front, 0] / z[in_front] + intrinsics.cx
-    ).astype(np.int64)
-    v[in_front] = np.floor(
-        intrinsics.fy * cam[in_front, 1] / z[in_front] + intrinsics.cy
-    ).astype(np.int64)
-    in_image = (
-        in_front
-        & (u >= 0)
-        & (u < intrinsics.width)
-        & (v >= 0)
-        & (v < intrinsics.height)
-    )
-
-    d = np.zeros(len(cam))
-    d[in_image] = depth[v[in_image], u[in_image]]
-    valid = in_image & (d > 0)
+    d = depth_at(depth, intrinsics, cam)
+    valid = d > 0
 
     sdf = d - z
     tau = grid.truncation

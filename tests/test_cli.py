@@ -1,4 +1,6 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -44,6 +46,16 @@ class TestGenerate:
         assert a != b
 
 
+class RecordingPool(ProcessPoolExecutor):
+    """A process pool that records the worker count of each pool entered."""
+
+    entered = []
+
+    def __enter__(self):
+        RecordingPool.entered.append(self._max_workers)
+        return super().__enter__()
+
+
 class TestTrackAndEval:
     def test_track_then_eval(self, config_path, tmp_path):
         out = str(tmp_path)
@@ -72,7 +84,7 @@ class TestTrackAndEval:
         summary = json.loads((Path(out) / "metrics.json").read_text())
         assert summary["config"]["no_correspondence_matching"] is True
 
-    def test_round_trip_matches_run_experiment(self, tmp_path):
+    def test_round_trip_matches_run_experiment(self, tmp_path, monkeypatch):
         # degraded enough that MOTA is below 1 and differs per sequence
         cfg = experiment.ExperimentConfig(
             seed=3, n_sequences=2, n_frames=4, n_objects=2, motion="fast",
@@ -80,11 +92,19 @@ class TestTrackAndEval:
             occupancy_flip_rate=0.05, detector_flip_rate=0.05,
             output_dir=str(tmp_path / "experiment"))
         expected = experiment.run_experiment(cfg)
+        # `track` runs the same sequences on two worker processes.
         path = str(tmp_path / "config.json")
-        cfg.save(path)
+        replace(cfg, workers=2).save(path)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        RecordingPool.entered = []
         out = tmp_path / "cli"
         r = run_cli("track", "--config", path, "--output", str(out))
         assert r.exit_code == 0, r.output
+        assert RecordingPool.entered == [2]
+        for sid in range(2):
+            name = f"tracklets_seq{sid:04d}.json"
+            assert (out / name).read_text() == \
+                (tmp_path / "experiment" / name).read_text()
         r = run_cli("eval", "--config", path, "--output", str(out))
         assert r.exit_code == 0, r.output
         assert expected["mean_mota"] < 1.0

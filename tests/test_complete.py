@@ -24,7 +24,7 @@ class TestOracleComplete:
         template, pose, box, visible = posed_object()
         out = oracle_complete(box, template, pose, visible)
         gt_noc = synth.ground_truth_noc(template, pose, box)
-        assert np.array_equal(out.occupancy().bits, gt_noc.valid)
+        assert np.array_equal(out.occupancy, gt_noc.valid)
         assert np.allclose(out.noc.coords[out.noc.valid],
                            gt_noc.coords[gt_noc.valid])
 
@@ -33,8 +33,8 @@ class TestOracleComplete:
         out = oracle_complete(box, template, pose, visible,
                               DegradationKnobs(completion_fraction=0.0))
         full = oracle_complete(box, template, pose, visible)
-        occ = out.occupancy().bits
-        assert occ.sum() < full.occupancy().bits.sum()
+        occ = out.occupancy
+        assert occ.sum() < full.occupancy.sum()
         # every kept voxel maps into a visible template voxel
         res = template.canonical_occupancy.dims[0]
         vis = {tuple(v) for v in visible}
@@ -43,44 +43,44 @@ class TestOracleComplete:
 
     def test_intermediate_fraction_binomial(self):
         template, pose, box, visible = posed_object()
-        full = oracle_complete(box, template, pose, visible).occupancy().bits
+        full = oracle_complete(box, template, pose, visible).occupancy
         vis_only = oracle_complete(
             box, template, pose, visible,
-            DegradationKnobs(completion_fraction=0.0)).occupancy().bits
+            DegradationKnobs(completion_fraction=0.0)).occupancy
         hidden = int(full.sum() - vis_only.sum())
         f = 0.5
         out = oracle_complete(box, template, pose, visible,
                               DegradationKnobs(completion_fraction=f),
                               np.random.default_rng(0))
-        included = int(out.occupancy().bits.sum() - vis_only.sum())
+        included = int(out.occupancy.sum() - vis_only.sum())
         sigma = np.sqrt(hidden * f * (1 - f))
         assert abs(included - f * hidden) < 4 * sigma
         # visible voxels always survive
-        assert (out.occupancy().bits & vis_only).sum() == vis_only.sum()
+        assert (out.occupancy & vis_only).sum() == vis_only.sum()
 
     def test_completion_iou_monotone_in_fraction(self):
         template, pose, box, visible = posed_object()
-        gt = oracle_complete(box, template, pose, visible).occupancy().bits
+        gt = oracle_complete(box, template, pose, visible).occupancy
         fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
         ious = []
         for f in fractions:
             out = oracle_complete(box, template, pose, visible,
                                   DegradationKnobs(completion_fraction=f),
                                   np.random.default_rng(7))
-            ious.append(volumetric_iou(out.occupancy().bits, gt))
+            ious.append(volumetric_iou(out.occupancy, gt))
         rho = spearmanr(fractions, ious).statistic
         assert rho > 0.999
         assert ious[-1] == 1.0
 
     def test_occupancy_flips(self):
         template, pose, box, visible = posed_object()
-        clean = oracle_complete(box, template, pose, visible).occupancy().bits
+        clean = oracle_complete(box, template, pose, visible).occupancy
         rate = 0.1
         out = oracle_complete(box, template, pose, visible,
                               DegradationKnobs(occupancy_flip_rate=rate),
                               np.random.default_rng(0))
         n = clean.size
-        flipped = int((out.occupancy().bits ^ clean).sum())
+        flipped = int((out.occupancy ^ clean).sum())
         sigma = np.sqrt(n * rate * (1 - rate))
         assert abs(flipped - rate * n) < 4 * sigma
 
@@ -100,12 +100,8 @@ class TestOracleComplete:
     def test_pose_recovery_from_completion(self):
         template, pose, box, visible = posed_object(yaw=1.3)
         out = oracle_complete(box, template, pose, visible)
-        res = out.noc.dims[0]
-        idx = np.stack(np.meshgrid(*[np.arange(res)] * 3, indexing="ij"),
-                       axis=-1)
-        centers = out.crop.min_corner + (idx + 0.5) / res * out.crop.extents
         sel = out.noc.valid
-        est = solve_pose(out.noc.coords[sel], centers[sel])
+        est = solve_pose(out.noc.coords[sel], out.centers[sel])
         assert abs(est.scale - pose.scale) < 1e-9
         assert np.abs(est.rotation - pose.rotation).max() < 1e-9
         assert np.abs(est.translation - pose.translation).max() < 1e-9

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from canontrack import experiment, metrics, pipeline, synth
+from canontrack import experiment, pipeline, synth
 
 
 def noisy_config(**kwargs):
@@ -97,6 +97,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(completion_fraction=1.5).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("jump_period", 0), ("voxel_size", 0.0), ("image_width", 0),
+        ("image_height", 0), ("workers", 0), ("noc_noise", -0.1),
+        ("detector_center_jitter", -1.0), ("detector_extent_jitter", -1.0),
+        ("detector_flip_rate", 1.5), ("detector_class_confusion", 2.0),
+        ("occupancy_flip_rate", -0.5),
+    ])
+    def test_rejects_values_the_program_cannot_honour(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            small_config(motion="fast", **{field: value}).validate()
+
     def test_rejects_more_objects_than_placement_allows(self):
         experiment.ExperimentConfig(n_objects=3).validate()
         with pytest.raises(ValueError, match="at most 3"):
@@ -156,11 +167,3 @@ class TestRunExperiment:
         assert json.loads(json.dumps(dump)) == written
         assert scores == batch["per_sequence"][1]
 
-    def test_gt_frame_records(self):
-        cfg = small_config(n_frames=2)
-        script = experiment.make_script(cfg, 0)
-        data = pipeline.build_sequence_data(script, cfg.voxel_size)
-        recs = experiment.gt_frame_records(data.gt_frames)
-        assert set(recs) == {0, 1}
-        assert all(isinstance(r, metrics.TrackRecord) for r in recs[0])
-        assert len(recs[0]) == cfg.n_objects

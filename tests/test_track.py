@@ -73,15 +73,14 @@ class TestHungarian:
 class TestAssociateFrame:
     def tracklet(self, tid, center, class_id=0):
         return Tracklet(id=tid, class_id=class_id,
-                        last_box=Box3(center, [1, 1, 1]),
-                        canonical_avg=grid((0, 0, 0)))
+                        canonical_avg=grid((0, 0, 0)),
+                        history=[(0, Box3(center, [1, 1, 1]), None)])
 
     def test_exact_matches(self):
         ts = [self.tracklet(0, [0, 0, 0]), self.tracklet(1, [5, 0, 0])]
         ds = [det([5, 0, 0]), det([0, 0, 0])]
         r = associate_frame(ts, ds)
         assert sorted(r.matches) == [(0, 1, 1.0), (1, 0, 1.0)]
-        assert r.unmatched_tracklets == []
         assert r.unmatched_detections == []
 
     def test_low_iou_rejected(self):
@@ -90,7 +89,6 @@ class TestAssociateFrame:
         ds = [det([0.8, 0, 0])]
         r = associate_frame(ts, ds)
         assert r.matches == []
-        assert r.unmatched_tracklets == [0]
         assert r.unmatched_detections == [0]
 
     def test_iou_threshold_boundary(self):
@@ -105,7 +103,7 @@ class TestAssociateFrame:
         r = associate_frame([], [det([0, 0, 0])])
         assert r.unmatched_detections == [0]
         r = associate_frame([self.tracklet(0, [0, 0, 0])], [])
-        assert r.unmatched_tracklets == [0]
+        assert r.matches == [] and r.unmatched_detections == []
 
     def test_class_gating(self):
         ts = [self.tracklet(0, [0, 0, 0], class_id=1)]
@@ -124,23 +122,23 @@ class TestAssociateFrame:
 
 class TestUpdateCanonical:
     def test_four_to_one_weighting(self):
-        t = Tracklet(id=0, class_id=0, last_box=Box3([0, 0, 0], [1, 1, 1]),
-                     canonical_avg=np.ones((2, 2, 2)))
+        t = Tracklet(id=0, class_id=0, canonical_avg=np.ones((2, 2, 2)),
+                     history=[])
         update_canonical(t, np.zeros((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 0.8)
         update_canonical(t, np.zeros((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 0.64)
 
     def test_geometric_series_limit(self):
-        t = Tracklet(id=0, class_id=0, last_box=Box3([0, 0, 0], [1, 1, 1]),
-                     canonical_avg=np.zeros((2, 2, 2)))
+        t = Tracklet(id=0, class_id=0, canonical_avg=np.zeros((2, 2, 2)),
+                     history=[])
         for _ in range(200):
             update_canonical(t, np.ones((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 1.0, atol=1e-9)
 
     def test_dims_mismatch(self):
-        t = Tracklet(id=0, class_id=0, last_box=Box3([0, 0, 0], [1, 1, 1]),
-                     canonical_avg=np.zeros((2, 2, 2)))
+        t = Tracklet(id=0, class_id=0, canonical_avg=np.zeros((2, 2, 2)),
+                     history=[])
         with pytest.raises(ValueError):
             update_canonical(t, np.zeros((3, 3, 3)))
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from canontrack.geom import Box3, SimilarityTransform
-from canontrack.synth import default_intrinsics, look_at, make_template
+from canontrack.geom import SimilarityTransform
+from canontrack.synth import default_intrinsics
 from canontrack.voxel import (DenseTsdfGrid, binarize, extract_surface,
                               fuse_depth_frame, lattice_centers, nearest_voxel)
 
@@ -137,54 +137,3 @@ class TestBinarize:
         assert g.bits.tolist() == [[[False, True], [True, False]],
                                    [[True, False], [True, True]]]
 
-
-def fused_cylinder_surface(voxel_size=0.05, n_views=8):
-    """Fuse 8 rendered views of a cylinder (radius 0.3 m, height 0.6 m,
-    axis through the origin) and return the extracted surface grid."""
-    from canontrack import synth
-
-    template = make_template("cylinder", [0.6, 0.6, 0.6])
-    pose = synth.object_pose(template, [0.0, 0.0], 0.0)
-    intr = default_intrinsics(240, 180)
-    cams = [
-        look_at(
-            [2.5 * np.cos(2 * np.pi * k / n_views),
-             2.5 * np.sin(2 * np.pi * k / n_views), 1.5],
-            [0.0, 0.0, 0.3],
-        )
-        for k in range(n_views)
-    ]
-    script = synth.SceneScript(
-        templates=[template],
-        object_poses=[[pose]] * n_views,
-        camera_poses=cams,
-        intrinsics=intr,
-        scene_bounds=Box3([0, 0, 0.3], [2.0, 2.0, 1.2]),
-        include_floor=False,
-    )
-    grid = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size)
-    for f in range(n_views):
-        depth, _ = synth.render_frame(script, f)
-        grid = fuse_depth_frame(depth, intr, cams[f], grid)
-    return extract_surface(grid)
-
-
-def capped_cylinder_distance(points, radius=0.3, z_lo=0.0, z_hi=0.6):
-    """Exact Euclidean distance to the cylinder's surface (analytic)."""
-    p = np.asarray(points)
-    dr = np.hypot(p[:, 0], p[:, 1]) - radius
-    dz = np.maximum(z_lo - p[:, 2], p[:, 2] - z_hi)
-    outside = np.hypot(np.maximum(dr, 0.0), np.maximum(dz, 0.0))
-    inside = -np.minimum(np.maximum(dr, dz), 0.0)
-    return np.where((dr > 0) | (dz > 0), outside, inside)
-
-
-class TestRenderedFusionRoundTrip:
-    def test_surface_voxels_near_true_surface(self):
-        """Multi-view fusion of rendered depth: extracted surface voxels stay
-        within one voxel of the object's true surface."""
-        voxel_size = 0.05
-        surf = fused_cylinder_surface(voxel_size)
-        assert len(surf) > 100
-        dist = capped_cylinder_distance(surf.centers())
-        assert np.mean(dist <= voxel_size) >= 0.95
