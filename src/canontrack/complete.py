@@ -1,8 +1,9 @@
 """Completion and correspondence oracle.
 
 Stands in for the learned completion network: produces each detection's
-completed occupancy and NOC grid from ground truth under a visibility model,
-with degradation knobs (completion fraction, occupancy flips, NOC noise).
+completed occupancy and NOC correspondences from ground truth under a
+visibility model, with degradation knobs (completion fraction, occupancy
+flips, NOC noise).
 """
 
 from __future__ import annotations
@@ -12,7 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
-from .voxel import OBJECT_RESOLUTION, NocGrid, lattice_centers, nearest_voxel
+from .voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
+
+# Canonical-space slack of the candidate-row test, far above the rounding of
+# a crop voxel's canonical coordinates.
+CANDIDATE_SLACK = 1e-9
 
 
 @dataclass
@@ -28,10 +33,24 @@ class DegradationKnobs:
 
 @dataclass
 class CompletionOutput:
+    """A detection's completion over the R^3 crop of its cubified box.
+
+    `noc` and `centers` are the correspondences of the voxels held by both
+    `occupancy` and `full`, in crop (C) order: canonical coordinates and
+    world-space voxel centers.
+    """
+
     occupancy: np.ndarray  # (R, R, R) bool, the completed occupancy
-    noc: NocGrid
-    centers: np.ndarray  # (R, R, R, 3) world-space crop voxel centers
     full: np.ndarray  # (R, R, R) bool, the undegraded ground-truth occupancy
+    noc: np.ndarray  # (M, 3) canonical coordinates in [0, 1]^3
+    centers: np.ndarray  # (M, 3) world-space crop voxel centers
+
+    def __post_init__(self):
+        if self.noc.shape != self.centers.shape or self.noc.shape[1:] != (3,):
+            raise ValueError("noc/centers shape mismatch")
+        if len(self.noc) and (self.noc.min() < -1e-9
+                              or self.noc.max() > 1 + 1e-9):
+            raise ValueError("canonical coordinates must lie in [0,1]^3")
 
 
 def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
@@ -43,12 +62,48 @@ def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
     )
 
 
-def _visible_mask(visible_voxels: np.ndarray, resolution: int) -> np.ndarray:
-    mask = np.zeros((resolution,) * 3, dtype=bool)
+def _lookup_codes(bits: np.ndarray, visible_voxels: np.ndarray) -> np.ndarray:
+    """uint8 grid read by the oracle's one lookup: bit 0 template occupancy,
+    bit 1 visible voxel, bit 2 set everywhere, so that a lookup reads nonzero
+    exactly inside the template's cube."""
+    codes = np.add(bits, 4, dtype=np.uint8)
     if len(visible_voxels):
         vv = np.asarray(visible_voxels, dtype=np.int64)
-        mask[vv[:, 0], vv[:, 1], vv[:, 2]] = True
-    return mask
+        codes[vv[:, 0], vv[:, 1], vv[:, 2]] |= 2
+    return codes
+
+
+def _candidate_rows(cube: Box3, inverse: SimilarityTransform,
+                    res: int) -> np.ndarray:
+    """Ascending flat indices of the crop voxels whose center may map into
+    [0, 1)^3 under `inverse`: one k-interval per (i, j) line, widened by a
+    voxel and by CANDIDATE_SLACK.  Every voxel whose center lands in the
+    unit cube is among them."""
+    # canonical step per crop index along each axis (columns), and the
+    # canonical center of each line's k = 0 voxel
+    step = inverse.scale * inverse.rotation * (cube.extents / res)
+    first = inverse.apply(cube.min_corner + 0.5 * cube.extents / res)
+    n = np.arange(res)
+    base = (first + n[:, None, None] * step[:, 0]
+            + n[None, :, None] * step[:, 1])
+    lo = np.full((res, res), -np.inf)
+    hi = np.full((res, res), np.inf)
+    for d in range(3):
+        if step[d, 2] == 0.0:
+            off = ((base[..., d] < -CANDIDATE_SLACK)
+                   | (base[..., d] > 1.0 + CANDIDATE_SLACK))
+            hi[off] = -np.inf
+            continue
+        k0 = (-CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        k1 = (1.0 + CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        lo = np.maximum(lo, np.minimum(k0, k1))
+        hi = np.minimum(hi, np.maximum(k0, k1))
+    k_first = np.clip(np.ceil(lo) - 1, 0, res).astype(np.int64).ravel()
+    k_last = np.clip(np.floor(hi) + 1, -1, res - 1).astype(np.int64).ravel()
+    counts = np.maximum(k_last - k_first + 1, 0)
+    starts = np.arange(res * res) * res + k_first
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
 
 
 def oracle_complete(
@@ -59,30 +114,33 @@ def oracle_complete(
     knobs: DegradationKnobs = DegradationKnobs(),
     rng: np.random.Generator | None = None,
 ) -> CompletionOutput:
-    """Completed occupancy and NOC grid for one detection.
+    """Completed occupancy and NOC correspondences for one detection.
 
     The grids cover the cubified detection box.  Occupancy support is the
     full posed ground-truth geometry at completion_fraction 1, the visible
     set at 0, and a random interpolation in between; NOC values are the
     ground-truth canonical coordinates with optional truncated Gaussian
-    noise.
+    noise.  Only crop voxels that can map into the template's cube are
+    transformed and looked up; random draws still cover the whole crop.
     """
     if rng is None:
         rng = np.random.default_rng(0)
     cube = detection_box.cubified()
-    bits = template.canonical_occupancy.bits
     shape = (OBJECT_RESOLUTION,) * 3
+    n = OBJECT_RESOLUTION ** 3
+    inverse = pose.inverse()
 
+    rows = _candidate_rows(cube, inverse, OBJECT_RESOLUTION)
     centers = (cube.min_corner
-               + lattice_centers(shape) / OBJECT_RESOLUTION * cube.extents)
-    canon = pose.inverse().apply(centers.reshape(-1, 3))
-    # Channels: template occupancy, visible voxels, and the template's cube.
-    channels = np.stack([bits, _visible_mask(visible_voxels, bits.shape[0]),
-                         np.ones_like(bits)], axis=-1)
-    full, visible, inside = nearest_voxel(channels, canon).T
-    if not inside.any():
+               + lattice_centers(shape).reshape(-1, 3).take(rows, axis=0)
+               / OBJECT_RESOLUTION * cube.extents)
+    canon = inverse.apply(centers)
+    codes = nearest_voxel(
+        _lookup_codes(template.canonical_occupancy.bits, visible_voxels), canon)
+    if not codes.any():
         raise ValueError("detection box does not overlap the object")
-    visible = visible & full
+    full = (codes & 1).astype(bool)
+    visible = (codes & 3) == 3
 
     f = float(knobs.completion_fraction)
     if f >= 1.0:
@@ -91,23 +149,27 @@ def oracle_complete(
         support = visible
     else:
         hidden = full & ~visible
-        support = visible | (hidden & (rng.random(len(canon)) < f))
+        support = visible | (hidden & (rng.random(n)[rows] < f))
 
-    occ = support.copy()
+    # Outside the candidate rows support is empty, so occupancy is the flips.
     if knobs.occupancy_flip_rate > 0:
-        flips = rng.random(len(canon)) < knobs.occupancy_flip_rate
-        occ = occ ^ flips
+        occupancy = rng.random(n) < knobs.occupancy_flip_rate
+    else:
+        occupancy = np.zeros(n, dtype=bool)
+    occupancy[rows] ^= support
 
-    coords = np.clip(canon, 0.0, 1.0)
+    # NOC only where target geometry exists and is kept
+    keep = np.flatnonzero(occupancy[rows] & full)
+    coords = np.clip(canon.take(keep, axis=0), 0.0, 1.0)
     if knobs.noc_noise > 0:
-        coords = np.clip(coords + rng.normal(0.0, knobs.noc_noise, coords.shape),
-                         0.0, 1.0)
-    valid = occ & full  # NOC only where target geometry exists and is kept
-    coords[~valid] = 0.0
+        noise = rng.normal(0.0, knobs.noc_noise, (n, 3))
+        coords = np.clip(coords + noise.take(rows[keep], axis=0), 0.0, 1.0)
 
+    full_grid = np.zeros(n, dtype=bool)
+    full_grid[rows] = full
     return CompletionOutput(
-        occupancy=occ.reshape(shape),
-        noc=NocGrid(coords.reshape(shape + (3,)), valid.reshape(shape)),
-        centers=centers,
-        full=full.reshape(shape),
+        occupancy=occupancy.reshape(shape),
+        full=full_grid.reshape(shape),
+        noc=coords,
+        centers=centers.take(keep, axis=0),
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from itertools import repeat
@@ -53,7 +54,13 @@ class ExperimentConfig:
     workers: int = 1
 
     def validate(self) -> None:
+        for name in ("seed", "n_sequences", "n_frames", "n_objects",
+                     "jump_period", "image_width", "image_height", "workers"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         ranges = [  # (fields, accepted values, the condition in words)
+            (("seed",), lambda v: v >= 0, "non-negative"),
             (("association_iou", "rescue_iou", "binarize_threshold"),
              lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
             (("completion_fraction", "occupancy_flip_rate",

@@ -105,17 +105,14 @@ def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
     out = complete.oracle_complete(
         proposal.box, gt_obj.template, gt_obj.pose,
         gt_obj.visible_voxels, config.completion, rng)
-    # noc.valid is the completed occupancy within the object.
-    support = out.noc.valid
-    coords = out.noc.coords[support]
     pred_pose = None
-    if len(coords) >= 3:
+    if len(out.noc) >= 3:
         try:
-            pred_pose = pose.solve_pose(coords, out.centers[support])
+            pred_pose = pose.solve_pose(out.noc, out.centers)
         except pose.DegenerateCorrespondences:
             pred_pose = None
     return (pred_pose, volumetric_iou(out.occupancy, out.full),
-            _scatter_canonical(coords))
+            _scatter_canonical(out.noc))
 
 
 def process_frame(data: SequenceData, frame_idx: int,

@@ -69,26 +69,29 @@ class ObjectTemplate:
     @functools.cached_property
     def dilated_occupancy(self) -> np.ndarray:
         """Canonical occupancy dilated by two voxels, computed once per
-        template (the oracle detector's ownership test)."""
-        return ndimage.binary_dilation(self.canonical_occupancy.bits,
-                                       iterations=2)
+        template (the oracle detector's ownership test); read-only."""
+        return _read_only(ndimage.binary_dilation(
+            self.canonical_occupancy.bits, iterations=2))
 
     @property
     def pose_scale(self) -> float:
         """Similarity scale placing the canonical cube at physical size."""
         return float(self.physical_scale.max())
 
+    @functools.cached_property
     def canonical_bbox(self) -> tuple:
-        """(lo, hi) canonical-space AABB of the occupied voxels."""
+        """(lo, hi) canonical-space AABB of the occupied voxels, computed
+        once per template; read-only."""
         occ = np.argwhere(self.canonical_occupancy.bits)
         res = self.canonical_occupancy.dims[0]
         lo = occ.min(axis=0) / res
         hi = (occ.max(axis=0) + 1) / res
-        return lo, hi
+        return _read_only(lo), _read_only(hi)
 
+    @functools.cached_property
     def surface_voxels(self) -> np.ndarray:
         """Occupied voxels with at least one empty 6-neighbor (or on the
-        grid border)."""
+        grid border), computed once per template; read-only."""
         bits = self.canonical_occupancy.bits
         interior = np.zeros_like(bits)
         interior[1:-1, 1:-1, 1:-1] = (
@@ -97,7 +100,12 @@ class ObjectTemplate:
             & bits[1:-1, :-2, 1:-1] & bits[1:-1, 2:, 1:-1]
             & bits[1:-1, 1:-1, :-2] & bits[1:-1, 1:-1, 2:]
         )
-        return np.argwhere(bits & ~interior)
+        return _read_only(np.argwhere(bits & ~interior))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _shape_mask(kind: str, u: np.ndarray) -> np.ndarray:
@@ -162,7 +170,7 @@ def object_pose(template: ObjectTemplate, center_xy, yaw: float,
                 bottom_z: float = 0.0) -> SimilarityTransform:
     """Pose placing the template at a planar position with its occupied
     geometry resting on z = bottom_z."""
-    lo, hi = template.canonical_bbox()
+    lo, hi = template.canonical_bbox
     c = template.pose_scale
     rot = yaw_rotation(yaw)
     # canonical occupied center, mapped to (cx, cy, *) in world
@@ -174,7 +182,7 @@ def object_pose(template: ObjectTemplate, center_xy, yaw: float,
 
 def posed_bbox(template: ObjectTemplate, pose: SimilarityTransform) -> Box3:
     """World-space AABB of the posed canonical occupied region."""
-    lo, hi = template.canonical_bbox()
+    lo, hi = template.canonical_bbox
     corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
     w = pose.apply(corners)
@@ -396,7 +404,7 @@ def render_frame(script: SceneScript, frame_idx: int,
         inv = pose.inverse()
         o_c = inv.apply(o)
         d_c = dirs @ (inv.scale * inv.rotation).T
-        lo, hi = template.canonical_bbox()
+        lo, hi = template.canonical_bbox
         hit = _raycast_object(o_c, d_c, template.canonical_occupancy.bits,
                               lo, hi)
         closer = hit < zbuf
@@ -407,7 +415,7 @@ def render_frame(script: SceneScript, frame_idx: int,
     objects = []
     for oi, template in enumerate(script.templates):
         pose = script.object_poses[frame_idx][oi]
-        surf = template.surface_voxels()
+        surf = template.surface_voxels
         res = template.canonical_occupancy.dims[0]
         centers_c = (surf + 0.5) / res
         w = pose.apply(centers_c)

@@ -38,13 +38,17 @@ def nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     `grid` spans the unit cube with shape (R, R, R) or (R, R, R, C);
     `points` has shape (..., 3).  Points outside the cube read zero.
+    Bounds are checked per column on the floored coordinates, and only the
+    flat indices of points inside are made integers.
     """
     res = grid.shape[0]
-    idx = np.floor(points * res).astype(np.int64)
-    ok = np.all((idx >= 0) & (idx < res), axis=-1)
+    idx = points * res
+    np.floor(idx, out=idx)
+    i, j, k = idx[..., 0], idx[..., 1], idx[..., 2]
+    ok = (i >= 0) & (i < res) & (j >= 0) & (j < res) & (k >= 0) & (k < res)
+    flat = ((i * res + j) * res + k)[ok].astype(np.int64)
     out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
-    ii = idx[ok]
-    out[ok] = grid[ii[:, 0], ii[:, 1], ii[:, 2]]
+    out[ok] = grid.reshape((res ** 3,) + grid.shape[3:]).take(flat, axis=0)
     return out
 
 

@@ -1,12 +1,84 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from canontrack import synth
 from canontrack.complete import (DegradationKnobs, detection_rng,
                                  oracle_complete)
-from canontrack.geom import volumetric_iou
+from canontrack.geom import (Box3, SimilarityTransform, rotation_x,
+                             volumetric_iou)
 from canontrack.pose import solve_pose
+from canontrack.voxel import (OBJECT_RESOLUTION, NocGrid, lattice_centers,
+                              nearest_voxel)
+
+
+def _visible_mask(visible_voxels: np.ndarray, resolution: int) -> np.ndarray:
+    mask = np.zeros((resolution,) * 3, dtype=bool)
+    if len(visible_voxels):
+        vv = np.asarray(visible_voxels, dtype=np.int64)
+        mask[vv[:, 0], vv[:, 1], vv[:, 2]] = True
+    return mask
+
+
+def reference_oracle_complete(
+    detection_box: Box3,
+    template,
+    pose: SimilarityTransform,
+    visible_voxels: np.ndarray,
+    knobs: DegradationKnobs = DegradationKnobs(),
+    rng: np.random.Generator | None = None,
+):
+    """The full-grid oracle: every crop voxel is transformed and looked up.
+    Returns the occupancy, the NOC grid, the (R, R, R, 3) world centers and
+    the full occupancy."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    cube = detection_box.cubified()
+    bits = template.canonical_occupancy.bits
+    shape = (OBJECT_RESOLUTION,) * 3
+
+    centers = (cube.min_corner
+               + lattice_centers(shape) / OBJECT_RESOLUTION * cube.extents)
+    canon = pose.inverse().apply(centers.reshape(-1, 3))
+    # Channels: template occupancy, visible voxels, and the template's cube.
+    channels = np.stack([bits, _visible_mask(visible_voxels, bits.shape[0]),
+                         np.ones_like(bits)], axis=-1)
+    full, visible, inside = nearest_voxel(channels, canon).T
+    if not inside.any():
+        raise ValueError("detection box does not overlap the object")
+    visible = visible & full
+
+    f = float(knobs.completion_fraction)
+    if f >= 1.0:
+        support = full
+    elif f <= 0.0:
+        support = visible
+    else:
+        hidden = full & ~visible
+        support = visible | (hidden & (rng.random(len(canon)) < f))
+
+    occ = support.copy()
+    if knobs.occupancy_flip_rate > 0:
+        flips = rng.random(len(canon)) < knobs.occupancy_flip_rate
+        occ = occ ^ flips
+
+    coords = np.clip(canon, 0.0, 1.0)
+    if knobs.noc_noise > 0:
+        coords = np.clip(coords + rng.normal(0.0, knobs.noc_noise, coords.shape),
+                         0.0, 1.0)
+    valid = occ & full  # NOC only where target geometry exists and is kept
+    coords[~valid] = 0.0
+
+    return SimpleNamespace(
+        occupancy=occ.reshape(shape),
+        noc=NocGrid(coords.reshape(shape + (3,)), valid.reshape(shape)),
+        centers=centers,
+        full=full.reshape(shape),
+    )
 
 
 def posed_object(kind="l_shape", yaw=0.8, seed=0):
@@ -14,7 +86,7 @@ def posed_object(kind="l_shape", yaw=0.8, seed=0):
     pose = synth.object_pose(template, [0.1, -0.2], yaw)
     box = synth.posed_bbox(template, pose)
     # treat the top half of the surface voxels as "visible"
-    surf = template.surface_voxels()
+    surf = template.surface_voxels
     visible = surf[surf[:, 2] >= np.median(surf[:, 2])]
     return template, pose, box, visible
 
@@ -25,8 +97,8 @@ class TestOracleComplete:
         out = oracle_complete(box, template, pose, visible)
         gt_noc = synth.ground_truth_noc(template, pose, box)
         assert np.array_equal(out.occupancy, gt_noc.valid)
-        assert np.allclose(out.noc.coords[out.noc.valid],
-                           gt_noc.coords[gt_noc.valid])
+        assert np.array_equal(out.full, gt_noc.valid)
+        assert np.allclose(out.noc, gt_noc.coords[gt_noc.valid])
 
     def test_zero_completion_is_visible_only(self):
         template, pose, box, visible = posed_object()
@@ -38,7 +110,7 @@ class TestOracleComplete:
         # every kept voxel maps into a visible template voxel
         res = template.canonical_occupancy.dims[0]
         vis = {tuple(v) for v in visible}
-        kept = np.floor(out.noc.coords[occ & out.noc.valid] * res).astype(int)
+        kept = np.floor(out.noc * res).astype(int)
         assert all(tuple(k) in vis for k in kept)
 
     def test_intermediate_fraction_binomial(self):
@@ -90,18 +162,16 @@ class TestOracleComplete:
         noisy = oracle_complete(box, template, pose, visible,
                                 DegradationKnobs(noc_noise=0.02),
                                 np.random.default_rng(0))
-        sel = noisy.noc.valid
-        delta = noisy.noc.coords[sel] - clean.noc.coords[sel]
-        assert noisy.noc.coords[sel].min() >= 0.0
-        assert noisy.noc.coords[sel].max() <= 1.0
+        delta = noisy.noc - clean.noc
+        assert noisy.noc.min() >= 0.0
+        assert noisy.noc.max() <= 1.0
         assert abs(delta.mean()) < 0.005
         assert delta.std() == pytest.approx(0.02, abs=0.005)
 
     def test_pose_recovery_from_completion(self):
         template, pose, box, visible = posed_object(yaw=1.3)
         out = oracle_complete(box, template, pose, visible)
-        sel = out.noc.valid
-        est = solve_pose(out.noc.coords[sel], out.centers[sel])
+        est = solve_pose(out.noc, out.centers)
         assert abs(est.scale - pose.scale) < 1e-9
         assert np.abs(est.rotation - pose.rotation).max() < 1e-9
         assert np.abs(est.translation - pose.translation).max() < 1e-9
@@ -115,7 +185,79 @@ class TestOracleComplete:
 
     def test_non_overlapping_box_raises(self):
         template, pose, _, visible = posed_object()
-        from canontrack.geom import Box3
         far = Box3([50.0, 50.0, 50.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             oracle_complete(far, template, pose, visible)
+
+    def test_transforms_only_rows_that_can_hold_the_object(self, monkeypatch):
+        template, pose, box, visible = posed_object()
+        loose = Box3(box.center, 2.0 * box.extents)  # the object fills half
+        rows = []
+        apply = SimilarityTransform.apply
+
+        def counting_apply(self, points):
+            rows.append(len(np.atleast_2d(points)))
+            return apply(self, points)
+
+        monkeypatch.setattr(SimilarityTransform, "apply", counting_apply)
+        out = oracle_complete(loose, template, pose, visible)
+        assert out.full.any()
+        assert 0 < max(rows) < OBJECT_RESOLUTION ** 3
+
+
+@st.composite
+def completion_cases(draw):
+    """A posed template, a detection box around it (shifted and rescaled,
+    so that it may only partly overlap the object), visible voxels, knobs and
+    a seed."""
+    kind = draw(st.sampled_from(sorted(synth.TEMPLATE_KINDS)))
+    size = [draw(st.floats(0.3, 0.9)) for _ in range(3)]
+    template = synth.make_template(kind, size)
+    pose = synth.object_pose(template, [draw(st.floats(-1.0, 1.0)),
+                                        draw(st.floats(-1.0, 1.0))],
+                             draw(st.floats(0.0, 2 * np.pi)))
+    tilt = draw(st.sampled_from([0.0, 1e-12, 0.3, np.pi / 2]))
+    pose = SimilarityTransform(pose.scale, pose.rotation @ rotation_x(tilt),
+                               pose.translation)
+    box = synth.posed_bbox(template, pose)
+    shift = np.array([draw(st.floats(-1.2, 1.2)) for _ in range(3)])
+    stretch = np.array([draw(st.floats(0.3, 1.6)) for _ in range(3)])
+    box = Box3(box.center + shift * box.extents, box.extents * stretch)
+    surf = template.surface_voxels
+    visible = surf[surf[:, draw(st.integers(0, 2))]
+                   >= draw(st.integers(0, OBJECT_RESOLUTION))]
+    knobs = DegradationKnobs(
+        completion_fraction=draw(st.sampled_from([0.0, 0.4, 1.0])),
+        occupancy_flip_rate=draw(st.sampled_from([0.0, 0.05])),
+        noc_noise=draw(st.sampled_from([0.0, 0.02])))
+    return box, template, pose, visible, knobs, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def partial_overlap_case():
+    """A table whose box is shifted by half its size, with every knob on."""
+    template, pose, box, visible = posed_object(kind="table", yaw=0.4)
+    part = Box3(box.center + 0.5 * box.extents, box.extents)
+    return part, template, pose, visible, DegradationKnobs(0.5, 0.03, 0.01), 3
+
+
+class TestAgainstFullGridReference:
+    @given(completion_cases())
+    @example(partial_overlap_case())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_full_grid_oracle(self, case):
+        box, template, pose, visible, knobs, seed = case
+        try:
+            ref = reference_oracle_complete(box, template, pose, visible, knobs,
+                                            np.random.default_rng(seed))
+        except ValueError:
+            with pytest.raises(ValueError, match="does not overlap"):
+                oracle_complete(box, template, pose, visible, knobs,
+                                np.random.default_rng(seed))
+            return
+        out = oracle_complete(box, template, pose, visible, knobs,
+                              np.random.default_rng(seed))
+        valid = ref.noc.valid
+        assert np.array_equal(out.occupancy, ref.occupancy)
+        assert np.array_equal(out.full, ref.full)
+        assert out.noc.tobytes() == ref.noc.coords[valid].tobytes()
+        assert out.centers.tobytes() == ref.centers[valid].tobytes()

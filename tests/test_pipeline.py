@@ -102,7 +102,10 @@ class TestExperimentConfig:
         ("image_height", 0), ("workers", 0), ("noc_noise", -0.1),
         ("detector_center_jitter", -1.0), ("detector_extent_jitter", -1.0),
         ("detector_flip_rate", 1.5), ("detector_class_confusion", 2.0),
-        ("occupancy_flip_rate", -0.5),
+        ("occupancy_flip_rate", -0.5), ("n_frames", 2.5), ("seed", -1),
+        ("seed", 1.5), ("image_width", 160.5), ("jump_period", 1.5),
+        ("n_sequences", 2.0), ("n_objects", True), ("image_height", 120.5),
+        ("workers", 1.5),
     ])
     def test_rejects_values_the_program_cannot_honour(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -36,14 +36,14 @@ class TestTemplates:
 
     def test_cube_fills_requested_extent(self):
         t = make_template("cube", [0.6, 0.6, 0.6])
-        lo, hi = t.canonical_bbox()
+        lo, hi = t.canonical_bbox
         # equal extents: occupied region spans the whole unit cube
         assert np.allclose(lo, 0.0, atol=2 / 64)
         assert np.allclose(hi, 1.0, atol=2 / 64)
 
     def test_nonuniform_box_occupies_fraction(self):
         t = make_template("box", [0.8, 0.4, 0.8])
-        lo, hi = t.canonical_bbox()
+        lo, hi = t.canonical_bbox
         # y extent is half the longest, centered in the unit cube
         assert hi[1] - lo[1] == pytest.approx(0.5, abs=2 / 64)
         assert hi[0] - lo[0] == pytest.approx(1.0, abs=2 / 64)
@@ -51,7 +51,7 @@ class TestTemplates:
     def test_surface_voxels_are_thin(self):
         t = make_template("cube", [0.6, 0.6, 0.6])
         n_total = np.count_nonzero(t.canonical_occupancy.bits)
-        n_surf = len(t.surface_voxels())
+        n_surf = len(t.surface_voxels)
         assert 0 < n_surf < n_total
         # cube of side s voxels: surface is ~6 s^2 of s^3 voxels
         s = round(n_total ** (1 / 3))
@@ -72,6 +72,15 @@ class TestTemplates:
                 t.canonical_occupancy.bits, iterations=2)
             assert np.array_equal(t.dilated_occupancy, expected)
             del t
+
+
+    def test_box_and_surface_are_computed_once_and_read_only(self):
+        t = make_template("chair", [0.6, 0.5, 0.7])
+        lo, hi = t.canonical_bbox
+        assert t.canonical_bbox[0] is lo and t.surface_voxels is t.surface_voxels
+        for a in (lo, hi, t.surface_voxels, t.dilated_occupancy):
+            with pytest.raises(ValueError):
+                a[0] = 0
 
 
 class TestObjectPose:
@@ -149,7 +158,7 @@ class TestRenderFrame:
     def test_visible_voxels_subset_of_surface(self):
         script = single_object_script(yaw=0.4)
         _, gt = render_frame(script, 0)
-        surf = {tuple(v) for v in gt.objects[0].template.surface_voxels()}
+        surf = {tuple(v) for v in gt.objects[0].template.surface_voxels}
         vis = {tuple(v) for v in gt.objects[0].visible_voxels}
         assert vis and vis <= surf
 
@@ -165,7 +174,7 @@ class TestRenderFrame:
                          np.ones(len(uu))], axis=-1)
         world = cam.apply(dirs * depth[depth > 0][:, None])
         canon = gt.objects[0].pose.inverse().apply(world)
-        lo, hi = gt.objects[0].template.canonical_bbox()
+        lo, hi = gt.objects[0].template.canonical_bbox
         # on the boundary: inside the AABB, near some face
         inside = np.all((canon > lo - 1e-6) & (canon < hi + 1e-6), axis=1)
         face = np.minimum(np.abs(canon - lo), np.abs(canon - hi)).min(axis=1)

@@ -7,6 +7,17 @@ from canontrack.voxel import (DenseTsdfGrid, binarize, extract_surface,
                               fuse_depth_frame, lattice_centers, nearest_voxel)
 
 
+def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The lookup by a per-axis gather, kept to pin the flat-indexed one."""
+    res = grid.shape[0]
+    idx = np.floor(points * res).astype(np.int64)
+    ok = np.all((idx >= 0) & (idx < res), axis=-1)
+    out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
+    ii = idx[ok]
+    out[ok] = grid[ii[:, 0], ii[:, 1], ii[:, 2]]
+    return out
+
+
 def flat_wall_setup(wall_z=1.01, voxel_size=0.05):
     """Camera at the origin looking down +z at an infinite wall: every pixel's
     depth is the wall distance, so the expected TSDF is analytic."""
@@ -128,6 +139,32 @@ class TestLattice:
         assert nearest_voxel(grid, points).tolist() == [1, 7, 0, 0]
         channels = np.stack([grid, -grid], axis=-1)
         assert nearest_voxel(channels, points[:2]).tolist() == [[1, -1], [7, -7]]
+
+
+    @pytest.mark.parametrize("res", [1, 2, 5, 64])
+    def test_nearest_voxel_matches_reference(self, res):
+        rng = np.random.default_rng(res)
+        below_one = np.nextafter(1.0, 0.0)
+        edges = np.array([0.0, 1.0, below_one, -1e-300, -0.5, 1e12, -1e12,
+                          0.5 / res, 1.0 / res])
+        points = np.concatenate([
+            rng.uniform(-0.5, 1.5, (500, 3)),
+            rng.choice(edges, (300, 3)),
+            np.stack(np.meshgrid(edges, edges, edges), axis=-1).reshape(-1, 3),
+        ])
+        grids = [rng.random((res,) * 3) < 0.5,
+                 rng.integers(-9, 9, (res,) * 3 + (4,)),
+                 rng.random((res,) * 3 + (2,))]
+        odd = np.array([[np.inf, 0.5, 0.5], [np.nan, 0.5, 0.5],
+                        [-np.inf, np.inf, 0.2], [1e306, 0.1, 0.1]])
+        for grid in grids:
+            for pts in (points, points[:200].reshape(40, 5, 3), points[7],
+                        points[-1], odd):
+                with np.errstate(all="ignore"):
+                    got = nearest_voxel(grid, pts)
+                    want = reference_nearest_voxel(grid, pts)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestBinarize:
