@@ -10,8 +10,8 @@ evaluation.
 from .geom import Box3, SimilarityTransform, box_iou_3d, volumetric_iou
 from .pose import (CorrespondenceSet, DegenerateCorrespondences, SymmetryClass,
                    rotation_error, umeyama_solve)
-from .voxel import (DenseTsdfGrid, NocGrid, OccupancyGrid, SparseSurfaceGrid,
-                    binarize, extract_surface, fuse_depth_frame)
+from .voxel import (DenseTsdfGrid, OccupancyGrid, SparseSurfaceGrid, binarize,
+                    extract_surface, fuse_depth_frame)
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,6 @@ __all__ = [
     "rotation_error",
     "umeyama_solve",
     "DenseTsdfGrid",
-    "NocGrid",
     "OccupancyGrid",
     "SparseSurfaceGrid",
     "binarize",

@@ -242,14 +242,34 @@ def gt_to_dict(gt_frames) -> dict:
     }
 
 
-def track_sequence(config: ExperimentConfig, sequence_id: int) -> tuple:
-    """Generate, track and score one sequence: (sequence id, tracklet dump,
-    ground-truth dump, scores)."""
-    script = make_script(config, sequence_id)
-    data = pipeline.build_sequence_data(script, config.voxel_size)
-    result = pipeline.run_sequence(data, config.pipeline_config(sequence_id))
-    return (sequence_id, result.dump, gt_to_dict(result.gt_frames),
-            score_sequence(result, config))
+# The fields make_script and build_sequence_data read: configs that agree on
+# them share one rendered and fused sequence.
+SETUP_FIELDS = ("seed", "n_frames", "n_objects", "motion", "jump_period",
+                "image_width", "image_height", "voxel_size")
+
+
+def track_sequence(configs: list, sequence_id: int) -> tuple:
+    """Generate one sequence once, then track and score it under each config:
+    (sequence id, ground-truth dump, [(tracklet dump, scores) per config]).
+
+    The configs must agree on SETUP_FIELDS.  Each result is scored and
+    dropped before the next config runs.
+    """
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [name for name in SETUP_FIELDS
+                  if getattr(config, name) != getattr(first, name)]
+        if differ:
+            raise ValueError(f"configs tracked over one set-up must agree on "
+                             f"{', '.join(differ)}")
+    data = pipeline.build_sequence_data(make_script(first, sequence_id),
+                                        first.voxel_size)
+    runs = []
+    for config in configs:
+        result = pipeline.run_sequence(data, config.pipeline_config(sequence_id))
+        runs.append((result.dump, score_sequence(result, config)))
+        del result
+    return sequence_id, gt_to_dict(data.gt_frames), runs
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
@@ -276,6 +296,42 @@ def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
     }
 
 
+def _run(configs: list, write_outputs: bool) -> list:
+    """Track every sequence once under each config: one summary per config.
+
+    All configs are validated before the first sequence is built, and
+    `workers` processes share out the sequences.  When write_outputs is set,
+    each config's files are written into its output_dir, after every
+    sequence has been tracked.
+    """
+    for config in configs:
+        config.validate()
+    first = configs[0]
+    ids = range(first.n_sequences)
+    if first.workers > 1:
+        with ProcessPoolExecutor(max_workers=first.workers) as pool:
+            results = list(pool.map(track_sequence, repeat(configs), ids))
+    else:
+        results = [track_sequence(configs, i) for i in ids]
+
+    summaries = []
+    for k, config in enumerate(configs):
+        summary = summarize(config, {sid: runs[k][1]
+                                     for sid, _, runs in results})
+        if write_outputs:
+            out = Path(config.output_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            for sid, gt, runs in results:
+                dump, scores = runs[k]
+                write_json(out / f"tracklets_seq{sid:04d}.json", dump)
+                write_json(out / f"gt_seq{sid:04d}.json", gt)
+                write_json(out / f"scores_seq{sid:04d}.json", scores)
+            write_json(out / "metrics.json", summary, indent=2)
+            write_csv(out / "metrics.csv", [summary])
+        summaries.append(summary)
+    return summaries
+
+
 def run_experiment(config: ExperimentConfig,
                    write_outputs: bool = True) -> dict:
     """Run all sequences and aggregate; deterministic given (config, seed).
@@ -285,25 +341,7 @@ def run_experiment(config: ExperimentConfig,
     (gt_seqNNNN.json) and the scores (scores_seqNNNN.json), then the summary
     (metrics.json) and its flat CSV (metrics.csv).
     """
-    config.validate()
-    ids = range(config.n_sequences)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(track_sequence, repeat(config), ids))
-    else:
-        results = [track_sequence(config, i) for i in ids]
-
-    summary = summarize(config, {sid: scores for sid, _, _, scores in results})
-    if write_outputs:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for sid, dump, gt, scores in results:
-            write_json(out / f"tracklets_seq{sid:04d}.json", dump)
-            write_json(out / f"gt_seq{sid:04d}.json", gt)
-            write_json(out / f"scores_seq{sid:04d}.json", scores)
-        write_json(out / "metrics.json", summary, indent=2)
-        write_csv(out / "metrics.csv", [summary])
-    return summary
+    return _run([config], write_outputs)[0]
 
 
 CSV_FIELDS = ["completion_fraction", "no_completion",
@@ -338,15 +376,33 @@ def write_csv(path, summaries) -> None:
 def sweep_completion(config: ExperimentConfig,
                      fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
                      write_outputs: bool = True) -> list:
-    """Run the experiment once per completion fraction; sequences and all
-    other knobs are held fixed."""
-    summaries = []
+    """Run the experiment at each completion fraction; sequences and all
+    other knobs are held fixed.  Returns one run_experiment summary per
+    fraction.
+
+    Each sequence is rendered and fused once and tracked at every fraction.
+    Every fraction is checked before the first sequence is built: a fraction
+    outside [0, 1], two fractions that share a directory, and no_completion
+    (which would track every fraction at 0) raise ValueError.  When
+    write_outputs is set, each fraction's run_experiment files go into
+    output_dir/f_<fraction>/, and sweep.csv into output_dir.
+    """
+    if config.no_completion:
+        raise ValueError("no_completion cannot be swept: it tracks every "
+                         "completion fraction at 0")
+    if not fractions:
+        raise ValueError("no completion fractions to sweep")
+    by_dir = {}
+    configs = []
     for f in fractions:
-        cfg = replace(config, completion_fraction=float(f), no_completion=False,
-                      output_dir=str(Path(config.output_dir) / f"f_{f:g}"))
-        summaries.append(run_experiment(cfg, write_outputs=write_outputs))
+        name = f"f_{f:g}"
+        if name in by_dir:
+            raise ValueError(f"completion fractions {by_dir[name]} and {f} "
+                             f"both write to {name}/")
+        by_dir[name] = f
+        configs.append(replace(config, completion_fraction=float(f),
+                               output_dir=str(Path(config.output_dir) / name)))
+    summaries = _run(configs, write_outputs)
     if write_outputs:
-        out = Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "sweep.csv", summaries)
+        write_csv(Path(config.output_dir) / "sweep.csv", summaries)
     return summaries

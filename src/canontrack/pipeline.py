@@ -33,7 +33,9 @@ class PipelineConfig:
 @dataclass
 class SequenceData:
     """Rendered frames plus the per-frame surface grids, independent of any
-    degradation knobs; generate once, run many ablations."""
+    degradation knob, ablation flag or tracking threshold; generate once,
+    run many ablations (experiment.track_sequence tracks one under every
+    config of a sweep)."""
 
     script: synth.SceneScript
     gt_frames: list  # GroundTruthFrame per frame

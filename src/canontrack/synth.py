@@ -1,6 +1,6 @@
 """Synthetic dynamic desk-scale scenes: procedural voxel objects on scripted
 planar trajectories, an orbiting depth camera, and full ground truth (boxes,
-poses, visible-voxel sets, NOC grids).
+poses, visible-voxel sets).
 
 Depth rendering casts one ray per pixel, intersects it with each object's
 canonical occupancy (marched at half-voxel steps, then bisected to the
@@ -18,7 +18,7 @@ import numpy as np
 from scipy import ndimage
 
 from .geom import Box3, SimilarityTransform, yaw_rotation
-from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, NocGrid, OccupancyGrid,
+from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
                     depth_at, lattice_centers, nearest_voxel)
 
 # Random scenes place objects within PLACEMENT_RADIUS of the origin, at least
@@ -440,26 +440,6 @@ def render_sequence(script: SceneScript, visibility_band: float = 0.15):
     """Yield (depth, GroundTruthFrame) per frame."""
     for f in range(script.frame_count):
         yield render_frame(script, f, visibility_band)
-
-
-def ground_truth_noc(template: ObjectTemplate, pose: SimilarityTransform,
-                     box: Box3 | None = None) -> NocGrid:
-    """Exact canonical coordinates over the cubified crop of the posed box.
-
-    Each crop voxel center maps through the inverse pose; a voxel is valid
-    where the template occupies the resulting canonical point.
-    """
-    if box is None:
-        box = posed_bbox(template, pose)
-    cube = box.cubified()
-    shape = (OBJECT_RESOLUTION,) * 3
-    centers = (cube.min_corner
-               + lattice_centers(shape) / OBJECT_RESOLUTION * cube.extents)
-    canon = pose.inverse().apply(centers.reshape(-1, 3))
-    valid = nearest_voxel(template.canonical_occupancy.bits, canon)
-    coords = np.clip(canon, 0.0, 1.0)
-    coords[~valid] = 0.0
-    return NocGrid(coords.reshape(shape + (3,)), valid.reshape(shape))
 
 
 def visible_overlap_fraction_low(gt_frames, voxel_size: float = 0.05,

@@ -162,28 +162,6 @@ class OccupancyGrid:
         return self.bits.shape
 
 
-@dataclass
-class NocGrid:
-    """Per-voxel canonical coordinates in [0,1]^3 with a validity mask."""
-
-    coords: np.ndarray  # (..., 3) float
-    valid: np.ndarray  # (...) bool
-
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.valid = np.asarray(self.valid, dtype=bool)
-        if self.coords.shape[:-1] != self.valid.shape or self.coords.shape[-1] != 3:
-            raise ValueError("coords/valid shape mismatch")
-        if self.valid.any():
-            v = self.coords[self.valid]
-            if v.min() < -1e-9 or v.max() > 1 + 1e-9:
-                raise ValueError("valid canonical coordinates must lie in [0,1]^3")
-
-    @property
-    def dims(self) -> tuple:
-        return self.valid.shape
-
-
 def depth_at(depth: np.ndarray, intrinsics: CameraIntrinsics,
              points_cam: np.ndarray) -> np.ndarray:
     """Depth of the pixel each (N, 3) camera-frame point projects into; 0 for

@@ -135,6 +135,23 @@ class TestSweep:
         assert (tmp_path / "f_0" / "metrics.json").exists()
         assert (tmp_path / "f_1" / "metrics.json").exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (("--fractions", "0,0.5,2"), "completion_fraction"),
+        (("--fractions", "0.1234567,0.1234568"), "0.1234567 and 0.1234568"),
+        (("--fractions", "0.5,0.5"), "0.5 and 0.5"),
+        (("--fractions", "0,1", "--ablation", "no_completion"),
+         "no_completion"),
+    ], ids=["out_of_range", "same_directory", "duplicate", "no_completion"])
+    def test_rejects_sweep_before_tracking(self, config_path, tmp_path,
+                                           args, named):
+        r = run_cli("sweep", "--config", config_path,
+                    "--output", str(tmp_path), *args)
+        assert r.exit_code == 1
+        err = json.loads(r.output.strip().splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert named in err["message"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestErrors:
     def test_bad_config_json(self, tmp_path):

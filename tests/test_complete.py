@@ -12,8 +12,8 @@ from canontrack.complete import (DegradationKnobs, detection_rng,
 from canontrack.geom import (Box3, SimilarityTransform, rotation_x,
                              volumetric_iou)
 from canontrack.pose import solve_pose
-from canontrack.voxel import (OBJECT_RESOLUTION, NocGrid, lattice_centers,
-                              nearest_voxel)
+from canontrack.voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
+from noc_reference import NocGrid, ground_truth_noc
 
 
 def _visible_mask(visible_voxels: np.ndarray, resolution: int) -> np.ndarray:
@@ -95,7 +95,7 @@ class TestOracleComplete:
     def test_full_completion_matches_ground_truth(self):
         template, pose, box, visible = posed_object()
         out = oracle_complete(box, template, pose, visible)
-        gt_noc = synth.ground_truth_noc(template, pose, box)
+        gt_noc = ground_truth_noc(template, pose, box)
         assert np.array_equal(out.occupancy, gt_noc.valid)
         assert np.array_equal(out.full, gt_noc.valid)
         assert np.allclose(out.noc, gt_noc.coords[gt_noc.valid])

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -163,10 +164,57 @@ class TestRunExperiment:
         # Alone: a fresh interpreter that has tracked nothing before.
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-            sid, dump, _, scores = pool.submit(
-                experiment.track_sequence, cfg, 1).result(timeout=300)
+            sid, _, [(dump, scores)] = pool.submit(
+                experiment.track_sequence, [cfg], 1).result(timeout=300)
         assert sid == 1
         written = json.loads((tmp_path / "tracklets_seq0001.json").read_text())
         assert json.loads(json.dumps(dump)) == written
         assert scores == batch["per_sequence"][1]
 
+
+def written_files(root):
+    """Every file under root, by relative path, as bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestSweepCompletion:
+    FRACTIONS = (0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_files_equal_per_fraction_runs(self, tmp_path, workers):
+        out = tmp_path / "sweep"
+        cfg = noisy_config(workers=workers, output_dir=str(out))
+        summaries = experiment.sweep_completion(cfg, self.FRACTIONS)
+        swept = written_files(out)
+        assert sorted({name.split("/")[0] for name in swept}) == \
+            ["f_0", "f_0.5", "f_1", "sweep.csv"]
+
+        shutil.rmtree(out)
+        alone = [experiment.run_experiment(replace(
+            cfg, completion_fraction=f, output_dir=str(out / f"f_{f:g}")))
+            for f in self.FRACTIONS]
+        experiment.write_csv(out / "sweep.csv", alone)
+        assert summaries == alone
+        assert swept == written_files(out)
+
+    def test_configs_of_one_set_up_must_agree_on_it(self):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="n_frames, voxel_size"):
+            experiment.track_sequence(
+                [cfg, replace(cfg, n_frames=3, voxel_size=0.04)], 0)
+
+    def test_renders_each_sequence_once(self, monkeypatch):
+        builds = []
+        build = pipeline.build_sequence_data
+
+        def counting_build(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_sequence_data", counting_build)
+        cfg = small_config(n_sequences=2, n_frames=2, workers=1)
+        summaries = experiment.sweep_completion(cfg, self.FRACTIONS,
+                                                write_outputs=False)
+        assert len(summaries) == len(self.FRACTIONS)
+        assert len(builds) == cfg.n_sequences

@@ -5,9 +5,10 @@ from scipy import ndimage
 from canontrack import synth
 from canontrack.geom import Box3, SimilarityTransform
 from canontrack.pose import solve_pose
-from canontrack.synth import (SceneScript, default_intrinsics, ground_truth_noc,
-                              look_at, make_random_script, make_template,
-                              object_pose, posed_bbox, render_frame)
+from canontrack.synth import (SceneScript, default_intrinsics, look_at,
+                              make_random_script, make_template, object_pose,
+                              posed_bbox, render_frame)
+from noc_reference import ground_truth_noc
 
 
 def single_object_script(kind="cube", size=(0.6, 0.6, 0.6), yaw=0.0,
