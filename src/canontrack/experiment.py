@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, pipeline, synth, track
+from . import metrics, pipeline, synth
 from .complete import DegradationKnobs
 from .detect import DetectorKnobs
 from .geom import box_iou_3d, volumetric_iou
@@ -43,26 +43,27 @@ class ExperimentConfig:
     # ablation flags
     no_completion: bool = False  # "no compl.": visible-only geometry
     no_correspondence_matching: bool = False  # "no corr.": skip rescue pass
-    # matching thresholds and gates
-    association_iou: float = track.ASSOCIATION_IOU
-    rescue_iou: float = track.RESCUE_IOU
-    binarize_threshold: float = track.BINARIZE_THRESHOLD
+    # scoring protocol
     mota_gate: float = metrics.MOTA_GATE
-    class_gated_association: bool = False
     class_gated_mota: bool = False
     output_dir: str = "out"
     workers: int = 1
 
     def validate(self) -> None:
-        for name in ("seed", "n_sequences", "n_frames", "n_objects",
-                     "jump_period", "image_width", "image_height", "workers"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        ranges = [  # (fields, accepted values, the condition in words)
+        # Types first, so that every range below compares numbers.
+        checks = [  # (fields, accepted values, the condition in words)
+            (("seed", "n_sequences", "n_frames", "n_objects", "jump_period",
+              "image_width", "image_height", "workers"),
+             lambda v: _is_number(v, numbers.Integral), "an integer"),
+            (("voxel_size", "completion_fraction", "occupancy_flip_rate",
+              "noc_noise", "detector_flip_rate", "detector_center_jitter",
+              "detector_extent_jitter", "detector_class_confusion",
+              "mota_gate"),
+             lambda v: _is_number(v, numbers.Real), "a real number"),
+            (("no_completion", "no_correspondence_matching",
+              "class_gated_mota"), lambda v: isinstance(v, bool), "a bool"),
+            (("output_dir",), lambda v: isinstance(v, str), "a string"),
             (("seed",), lambda v: v >= 0, "non-negative"),
-            (("association_iou", "rescue_iou", "binarize_threshold"),
-             lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
             (("completion_fraction", "occupancy_flip_rate",
               "detector_flip_rate", "detector_class_confusion"),
              lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
@@ -73,11 +74,11 @@ class ExperimentConfig:
               "image_width", "image_height", "workers"),
              lambda v: v >= 1, "at least 1"),
         ]
-        for names, ok, condition in ranges:
+        for names, ok, condition in checks:
             for name in names:
                 v = getattr(self, name)
                 if not ok(v):
-                    raise ValueError(f"{name} must be {condition}, got {v}")
+                    raise ValueError(f"{name} must be {condition}, got {v!r}")
         if self.motion not in ("slow", "fast"):
             raise ValueError("motion must be 'slow' or 'fast'")
         if self.n_objects > synth.MAX_OBJECTS:
@@ -128,14 +129,15 @@ class ExperimentConfig:
                 occupancy_flip_rate=self.occupancy_flip_rate,
                 noc_noise=self.noc_noise,
             ),
-            association_iou=self.association_iou,
-            rescue_iou=self.rescue_iou,
-            binarize_threshold=self.binarize_threshold,
             enable_rescue=not self.no_correspondence_matching,
-            class_gated_association=self.class_gated_association,
             seed=self.seed,
             sequence_id=sequence_id,
         )
+
+
+def _is_number(v, kind) -> bool:
+    """v is an instance of the numbers ABC `kind` and not a bool."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 def make_script(config: ExperimentConfig, sequence_id: int) -> synth.SceneScript:
@@ -296,13 +298,12 @@ def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
     }
 
 
-def _run(configs: list, write_outputs: bool) -> list:
+def _run(configs: list) -> list:
     """Track every sequence once under each config: one summary per config.
 
     All configs are validated before the first sequence is built, and
-    `workers` processes share out the sequences.  When write_outputs is set,
-    each config's files are written into its output_dir, after every
-    sequence has been tracked.
+    `workers` processes share out the sequences.  Each config's files are
+    written into its output_dir after every sequence has been tracked.
     """
     for config in configs:
         config.validate()
@@ -318,30 +319,28 @@ def _run(configs: list, write_outputs: bool) -> list:
     for k, config in enumerate(configs):
         summary = summarize(config, {sid: runs[k][1]
                                      for sid, _, runs in results})
-        if write_outputs:
-            out = Path(config.output_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            for sid, gt, runs in results:
-                dump, scores = runs[k]
-                write_json(out / f"tracklets_seq{sid:04d}.json", dump)
-                write_json(out / f"gt_seq{sid:04d}.json", gt)
-                write_json(out / f"scores_seq{sid:04d}.json", scores)
-            write_json(out / "metrics.json", summary, indent=2)
-            write_csv(out / "metrics.csv", [summary])
+        out = Path(config.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for sid, gt, runs in results:
+            dump, scores = runs[k]
+            write_json(out / f"tracklets_seq{sid:04d}.json", dump)
+            write_json(out / f"gt_seq{sid:04d}.json", gt)
+            write_json(out / f"scores_seq{sid:04d}.json", scores)
+        write_json(out / "metrics.json", summary, indent=2)
+        write_csv(out / "metrics.csv", [summary])
         summaries.append(summary)
     return summaries
 
 
-def run_experiment(config: ExperimentConfig,
-                   write_outputs: bool = True) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run all sequences and aggregate; deterministic given (config, seed).
 
-    When write_outputs is set, writes into config.output_dir, per sequence,
-    the tracklet dump (tracklets_seqNNNN.json), the ground-truth dump
-    (gt_seqNNNN.json) and the scores (scores_seqNNNN.json), then the summary
-    (metrics.json) and its flat CSV (metrics.csv).
+    Writes into config.output_dir, per sequence, the tracklet dump
+    (tracklets_seqNNNN.json), the ground-truth dump (gt_seqNNNN.json) and the
+    scores (scores_seqNNNN.json), then the summary (metrics.json) and its flat
+    CSV (metrics.csv).
     """
-    return _run([config], write_outputs)[0]
+    return _run([config])[0]
 
 
 CSV_FIELDS = ["completion_fraction", "no_completion",
@@ -374,8 +373,7 @@ def write_csv(path, summaries) -> None:
 
 
 def sweep_completion(config: ExperimentConfig,
-                     fractions=(0.0, 0.25, 0.5, 0.75, 1.0),
-                     write_outputs: bool = True) -> list:
+                     fractions=(0.0, 0.25, 0.5, 0.75, 1.0)) -> list:
     """Run the experiment at each completion fraction; sequences and all
     other knobs are held fixed.  Returns one run_experiment summary per
     fraction.
@@ -383,9 +381,9 @@ def sweep_completion(config: ExperimentConfig,
     Each sequence is rendered and fused once and tracked at every fraction.
     Every fraction is checked before the first sequence is built: a fraction
     outside [0, 1], two fractions that share a directory, and no_completion
-    (which would track every fraction at 0) raise ValueError.  When
-    write_outputs is set, each fraction's run_experiment files go into
-    output_dir/f_<fraction>/, and sweep.csv into output_dir.
+    (which would track every fraction at 0) raise ValueError.  Each
+    fraction's run_experiment files go into output_dir/f_<fraction>/, and
+    sweep.csv into output_dir.
     """
     if config.no_completion:
         raise ValueError("no_completion cannot be swept: it tracks every "
@@ -402,7 +400,6 @@ def sweep_completion(config: ExperimentConfig,
         by_dir[name] = f
         configs.append(replace(config, completion_fraction=float(f),
                                output_dir=str(Path(config.output_dir) / name)))
-    summaries = _run(configs, write_outputs)
-    if write_outputs:
-        write_csv(Path(config.output_dir) / "sweep.csv", summaries)
+    summaries = _run(configs)
+    write_csv(Path(config.output_dir) / "sweep.csv", summaries)
     return summaries

@@ -49,15 +49,6 @@ class SimilarityTransform:
             translation=-inv_scale * (inv_rot @ self.translation),
         )
 
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """Returns the transform equivalent to applying `other` first, then self."""
-        return SimilarityTransform(
-            scale=self.scale * other.scale,
-            rotation=self.rotation @ other.rotation,
-            translation=self.scale * (self.rotation @ other.translation)
-            + self.translation,
-        )
-
     def to_dict(self) -> dict:
         return {
             "scale": self.scale,

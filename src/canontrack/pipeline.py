@@ -20,11 +20,7 @@ class PipelineConfig:
     detector: detect.DetectorKnobs = field(default_factory=detect.DetectorKnobs)
     completion: complete.DegradationKnobs = field(
         default_factory=complete.DegradationKnobs)
-    association_iou: float = track.ASSOCIATION_IOU
-    rescue_iou: float = track.RESCUE_IOU
-    binarize_threshold: float = track.BINARIZE_THRESHOLD
     enable_rescue: bool = True
-    class_gated_association: bool = False
     seed: int = 0
     sequence_id: int = 0
     min_cluster_size: int = 50
@@ -33,9 +29,8 @@ class PipelineConfig:
 @dataclass
 class SequenceData:
     """Rendered frames plus the per-frame surface grids, independent of any
-    degradation knob, ablation flag or tracking threshold; generate once,
-    run many ablations (experiment.track_sequence tracks one under every
-    config of a sweep)."""
+    degradation knob or ablation flag; generate once, run many ablations
+    (experiment.track_sequence tracks one under every config of a sweep)."""
 
     script: synth.SceneScript
     gt_frames: list  # GroundTruthFrame per frame
@@ -77,7 +72,8 @@ def build_sequence_data(script: synth.SceneScript,
     truncation = 3.0 * voxel_size
     gt_frames = []
     surfaces = []
-    for depth, gt in synth.render_sequence(script, visibility_band=truncation):
+    for f in range(script.frame_count):
+        depth, gt = synth.render_frame(script, f, visibility_band=truncation)
         grid = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size, truncation)
         grid = fuse_depth_frame(depth, script.intrinsics, gt.camera_pose, grid)
         gt_frames.append(gt)
@@ -165,13 +161,7 @@ def process_frame(data: SequenceData, frame_idx: int,
 
 
 def run_sequence(data: SequenceData, config: PipelineConfig) -> SequenceResult:
-    tracker = track.Tracker(
-        association_iou=config.association_iou,
-        rescue_iou=config.rescue_iou,
-        enable_rescue=config.enable_rescue,
-        class_gated=config.class_gated_association,
-        binarize_threshold=config.binarize_threshold,
-    )
+    tracker = track.Tracker(enable_rescue=config.enable_rescue)
     all_records = []
     all_losses = []
     for f in range(data.script.frame_count):

@@ -436,12 +436,6 @@ def render_frame(script: SceneScript, frame_idx: int,
     return depth, GroundTruthFrame(frame_idx, cam, objects)
 
 
-def render_sequence(script: SceneScript, visibility_band: float = 0.15):
-    """Yield (depth, GroundTruthFrame) per frame."""
-    for f in range(script.frame_count):
-        yield render_frame(script, f, visibility_band)
-
-
 def visible_overlap_fraction_low(gt_frames, voxel_size: float = 0.05,
                                  iou_threshold: float = 0.3) -> float:
     """Fraction of frame transitions where some object's visible geometry
@@ -476,7 +470,6 @@ def make_random_script(
     motion: str = "slow",
     intrinsics: CameraIntrinsics | None = None,
     jump_period: int = JUMP_PERIOD,
-    include_floor: bool = True,
 ) -> SceneScript:
     """Random desk-scale scene.
 
@@ -569,5 +562,4 @@ def make_random_script(
         camera_poses=camera_poses,
         intrinsics=intrinsics,
         scene_bounds=scene_bounds,
-        include_floor=include_floor,
     )

@@ -70,20 +70,16 @@ def gated_assignment(iou: np.ndarray, threshold: float) -> list:
     return [(i, j) for i, j in hungarian(1.0 - iou) if iou[i, j] >= threshold]
 
 
-def associate_frame(tracklets: list, detections: list,
-                    iou_threshold: float = ASSOCIATION_IOU,
-                    class_gated: bool = False) -> AssignmentResult:
+def associate_frame(tracklets: list, detections: list) -> AssignmentResult:
     """Match detections to tracklets by Hungarian on 1 - box IoU, rejecting
-    matches under the IoU threshold."""
+    matches under ASSOCIATION_IOU."""
     if not tracklets or not detections:
         return AssignmentResult([], list(range(len(detections))))
     iou = np.zeros((len(tracklets), len(detections)))
     for i, t in enumerate(tracklets):
         for j, d in enumerate(detections):
-            if class_gated and t.class_id != d.class_id:
-                continue
             iou[i, j] = box_iou_3d(t.last_box, d.box)
-    pairs = gated_assignment(iou, iou_threshold)
+    pairs = gated_assignment(iou, ASSOCIATION_IOU)
     matched_d = {j for _, j in pairs}
     return AssignmentResult(
         matches=[(tracklets[i].id, j, float(iou[i, j])) for i, j in pairs],
@@ -109,16 +105,8 @@ class Tracker:
     `finish` once.
     """
 
-    def __init__(self, association_iou: float = ASSOCIATION_IOU,
-                 rescue_iou: float = RESCUE_IOU,
-                 enable_rescue: bool = True,
-                 class_gated: bool = False,
-                 binarize_threshold: float = BINARIZE_THRESHOLD):
-        self.association_iou = association_iou
-        self.rescue_iou = rescue_iou
+    def __init__(self, enable_rescue: bool = True):
         self.enable_rescue = enable_rescue
-        self.class_gated = class_gated
-        self.binarize_threshold = binarize_threshold
         self.tracklets: list = []
         self._next_id = 0
         self._frame = 0
@@ -136,8 +124,7 @@ class Tracker:
 
     def step(self, detections: list) -> AssignmentResult:
         frame = self._frame
-        result = associate_frame(self.tracklets, detections,
-                                 self.association_iou, self.class_gated)
+        result = associate_frame(self.tracklets, detections)
         by_id = {t.id: t for t in self.tracklets}
         for tid, j, _ in result.matches:
             t = by_id[tid]
@@ -154,9 +141,10 @@ class Tracker:
 
         Tracklets born mid-sequence are treated as orphans and merged into
         temporally disjoint earlier tracklets when their canonical
-        reconstructions, binarized at `binarize_threshold` (inclusive),
-        overlap with IoU at least `rescue_iou`; merging rewrites the
-        orphan's identity across its whole history.  The pass repeats until no merge applies.
+        reconstructions, binarized at BINARIZE_THRESHOLD (inclusive),
+        overlap with IoU at least RESCUE_IOU; merging rewrites the orphan's
+        identity across its whole history.  The pass repeats until no merge
+        applies.
         """
         if not self.enable_rescue:
             return self.tracklets
@@ -175,15 +163,14 @@ class Tracker:
                         and not frames[i] & frames[k]]
             # Averages change only in _merge, after the IoU matrix is built,
             # so each tracklet is binarized once per round.
-            bits = {k: binarize(candidates[k].canonical_avg,
-                                self.binarize_threshold)
+            bits = {k: binarize(candidates[k].canonical_avg, BINARIZE_THRESHOLD)
                     for k in ({i for i, _ in eligible}
                               | {orphans[j] for _, j in eligible})}
             iou = np.zeros((len(candidates), len(orphans)))
             for i, j in eligible:
                 iou[i, j] = volumetric_iou(bits[i], bits[orphans[j]])
             pairs = [(candidates[i], candidates[orphans[j]])
-                     for i, j in gated_assignment(iou, self.rescue_iou)]
+                     for i, j in gated_assignment(iou, RESCUE_IOU)]
             # Apply non-conflicting merges (a base absorbed this round cannot
             # also be merged away).
             absorbed = set()

@@ -44,13 +44,6 @@ class TestSimilarityTransform:
         back = t.inverse().apply(t.apply(pts))
         assert np.abs(back - pts).max() < 1e-9
 
-    def test_compose(self):
-        rng = np.random.default_rng(1)
-        a = SimilarityTransform(2.0, random_rotation(rng), rng.normal(size=3))
-        b = SimilarityTransform(0.5, random_rotation(rng), rng.normal(size=3))
-        p = rng.normal(size=(10, 3))
-        assert np.allclose(a.compose(b).apply(p), a.apply(b.apply(p)))
-
     def test_rejects_bad_rotation(self):
         with pytest.raises(ValueError):
             SimilarityTransform(rotation=np.diag([1.0, 1.0, -1.0]))

@@ -86,15 +86,16 @@ class TestExperimentConfig:
         back = experiment.ExperimentConfig.load(path)
         assert back == cfg
 
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            experiment.ExperimentConfig.from_dict({"bogus": 1})
+    @pytest.mark.parametrize("name", [
+        "bogus", "association_iou", "rescue_iou", "binarize_threshold",
+        "class_gated_association"])
+    def test_unknown_field_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            experiment.ExperimentConfig.from_dict({name: 0.3})
 
     def test_validation(self):
         with pytest.raises(ValueError):
             small_config(motion="teleport").validate()
-        with pytest.raises(ValueError):
-            small_config(association_iou=0.0).validate()
         with pytest.raises(ValueError):
             small_config(completion_fraction=1.5).validate()
 
@@ -106,7 +107,11 @@ class TestExperimentConfig:
         ("occupancy_flip_rate", -0.5), ("n_frames", 2.5), ("seed", -1),
         ("seed", 1.5), ("image_width", 160.5), ("jump_period", 1.5),
         ("n_sequences", 2.0), ("n_objects", True), ("image_height", 120.5),
-        ("workers", 1.5),
+        ("workers", 1.5), ("no_completion", "false"),
+        ("no_correspondence_matching", 0), ("class_gated_mota", "true"),
+        ("voxel_size", True), ("noc_noise", "0.01"),
+        ("completion_fraction", None), ("mota_gate", True),
+        ("output_dir", 3),
     ])
     def test_rejects_values_the_program_cannot_honour(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -143,19 +148,20 @@ class TestRunExperiment:
 
     def test_summary_shape(self, tmp_path):
         cfg = small_config(n_frames=4, output_dir=str(tmp_path))
-        s = experiment.run_experiment(cfg, write_outputs=False)
+        s = experiment.run_experiment(cfg)
         assert set(s) >= {"config", "mean_mota", "mean_completion_iou",
                           "per_sequence"}
         assert list(s["per_sequence"]) == [0]
 
-    def test_worker_count_does_not_change_summary(self):
+    def test_worker_count_does_not_change_summary(self, tmp_path):
         cfg = noisy_config()
-        one = experiment.run_experiment(replace(cfg, workers=1),
-                                        write_outputs=False)
-        two = experiment.run_experiment(replace(cfg, workers=2),
-                                        write_outputs=False)
-        assert one["config"].pop("workers") == 1
-        assert two["config"].pop("workers") == 2
+        one = experiment.run_experiment(replace(
+            cfg, workers=1, output_dir=str(tmp_path / "one")))
+        two = experiment.run_experiment(replace(
+            cfg, workers=2, output_dir=str(tmp_path / "two")))
+        for s, workers, name in ((one, 1, "one"), (two, 2, "two")):
+            assert s["config"].pop("workers") == workers
+            assert s["config"].pop("output_dir") == str(tmp_path / name)
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
     def test_sequence_in_batch_equals_sequence_alone(self, tmp_path):
@@ -204,7 +210,7 @@ class TestSweepCompletion:
             experiment.track_sequence(
                 [cfg, replace(cfg, n_frames=3, voxel_size=0.04)], 0)
 
-    def test_renders_each_sequence_once(self, monkeypatch):
+    def test_renders_each_sequence_once(self, monkeypatch, tmp_path):
         builds = []
         build = pipeline.build_sequence_data
 
@@ -213,8 +219,8 @@ class TestSweepCompletion:
             return build(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "build_sequence_data", counting_build)
-        cfg = small_config(n_sequences=2, n_frames=2, workers=1)
-        summaries = experiment.sweep_completion(cfg, self.FRACTIONS,
-                                                write_outputs=False)
+        cfg = small_config(n_sequences=2, n_frames=2, workers=1,
+                           output_dir=str(tmp_path))
+        summaries = experiment.sweep_completion(cfg, self.FRACTIONS)
         assert len(summaries) == len(self.FRACTIONS)
         assert len(builds) == cfg.n_sequences

@@ -30,10 +30,10 @@ def grid(*on, res=8):
     return g
 
 
-def det(center, extents=(1.0, 1.0, 1.0), class_id=0, canonical=None):
+def det(center, extents=(1.0, 1.0, 1.0), canonical=None):
     return Detection(
         box=Box3(center, extents),
-        class_id=class_id,
+        class_id=0,
         canonical=grid((0, 0, 0)) if canonical is None else canonical,
     )
 
@@ -71,8 +71,8 @@ class TestHungarian:
 
 
 class TestAssociateFrame:
-    def tracklet(self, tid, center, class_id=0):
-        return Tracklet(id=tid, class_id=class_id,
+    def tracklet(self, tid, center):
+        return Tracklet(id=tid, class_id=0,
                         canonical_avg=grid((0, 0, 0)),
                         history=[(0, Box3(center, [1, 1, 1]), None)])
 
@@ -104,12 +104,6 @@ class TestAssociateFrame:
         assert r.unmatched_detections == [0]
         r = associate_frame([self.tracklet(0, [0, 0, 0])], [])
         assert r.matches == [] and r.unmatched_detections == []
-
-    def test_class_gating(self):
-        ts = [self.tracklet(0, [0, 0, 0], class_id=1)]
-        ds = [det([0, 0, 0], class_id=2)]
-        assert associate_frame(ts, ds, class_gated=True).matches == []
-        assert associate_frame(ts, ds, class_gated=False).matches != []
 
     def test_globally_optimal_not_greedy(self):
         # greedy would give t0 the center detection, forcing t1 below gate;
@@ -148,8 +142,8 @@ class TestRescueMatch:
     tracklets: one seen in frame 0, one reappearing far away in frame 2."""
 
     @staticmethod
-    def merged(first, second, **tracker_args):
-        tracker = Tracker(**tracker_args)
+    def merged(first, second):
+        tracker = Tracker()
         tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, first)])
         tracker.step([])
         tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, second)])
@@ -169,12 +163,6 @@ class TestRescueMatch:
         a = grid((1, 1, 1))
         assert self.merged(a, grid((1, 1, 1)) * 0.5)
         assert not self.merged(a, grid((1, 1, 1)) * 0.49)
-
-    def test_binarize_threshold_setting(self):
-        # averages of 0.8 are occupied at threshold 0.5 and empty at 0.9
-        shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)]) * 0.8
-        assert self.merged(shape, shape, binarize_threshold=0.5)
-        assert not self.merged(shape, shape, binarize_threshold=0.9)
 
     def test_iou_gate(self):
         # overlap 4 of 12 voxels: IoU = 1/3 >= 0.3 -> merged
