@@ -8,7 +8,7 @@ evaluation.
 """
 
 from .geom import Box3, SimilarityTransform, box_iou_3d, volumetric_iou
-from .pose import (CorrespondenceSet, DegenerateCorrespondences, SymmetryClass,
+from .pose import (CorrespondenceSet, DegenerateCorrespondences,
                    rotation_error, umeyama_solve)
 from .voxel import (DenseTsdfGrid, OccupancyGrid, SparseSurfaceGrid, binarize,
                     extract_surface, fuse_depth_frame)
@@ -22,7 +22,6 @@ __all__ = [
     "volumetric_iou",
     "CorrespondenceSet",
     "DegenerateCorrespondences",
-    "SymmetryClass",
     "rotation_error",
     "umeyama_solve",
     "DenseTsdfGrid",

@@ -10,7 +10,11 @@ import click
 
 from . import experiment
 
-ABLATIONS = ("no_completion", "no_correspondence_matching")
+# The config values each --ablation flag sets.
+ABLATIONS = {
+    "no_completion": {"completion_fraction": 0.0},
+    "no_correspondence_matching": {"no_correspondence_matching": True},
+}
 
 
 def _load_config(config_path, seed, ablation, output) -> experiment.ExperimentConfig:
@@ -21,7 +25,8 @@ def _load_config(config_path, seed, ablation, output) -> experiment.ExperimentCo
     if seed is not None:
         cfg.seed = seed
     for a in ablation:
-        setattr(cfg, a, True)
+        for name, value in ABLATIONS[a].items():
+            setattr(cfg, name, value)
     if output is not None:
         cfg.output_dir = output
     cfg.validate()
@@ -45,7 +50,7 @@ _common = [
     click.option("--seed", type=int, default=None,
                  help="Override the config seed."),
     click.option("--ablation", multiple=True,
-                 type=click.Choice(ABLATIONS), help="Ablation flags."),
+                 type=click.Choice(list(ABLATIONS)), help="Ablation flags."),
     click.option("--output", type=click.Path(), default=None,
                  help="Override the output directory."),
 ]
@@ -127,6 +132,9 @@ def sweep(config_path, seed, ablation, output, fractions):
     try:
         cfg = _load_config(config_path, seed, ablation, output)
         fs = [float(x) for x in fractions.split(",")]
+        if "no_completion" in ablation:
+            raise ValueError("no_completion cannot be swept: it tracks every "
+                             "completion fraction at 0")
         summaries = experiment.sweep_completion(cfg, fs)
         click.echo(json.dumps({
             "fractions": fs,

@@ -2,7 +2,7 @@
 
 The learned detection backbone is replaced by an oracle that derives the
 prediction fields from ground truth, with degradation knobs (objectness
-flips, center/extent jitter, class confusion) to sweep detector quality.
+flips, center/extent jitter) to sweep detector quality.
 """
 
 from __future__ import annotations
@@ -209,7 +209,6 @@ class DetectorKnobs:
     objectness_flip_rate: float = 0.0
     center_jitter: float = 0.0  # sigma, voxels
     extent_jitter: float = 0.0  # sigma, voxels
-    class_confusion: float = 0.0
 
 
 def make_oracle_fields(
@@ -259,13 +258,8 @@ def make_oracle_fields(
                if knobs.extent_jitter > 0 else 0.0),
         0.1,
     )
-    cls = class_t.copy()
-    confused = rng.random(n) < knobs.class_confusion
-    if confused.any():
-        shift = rng.integers(1, num_classes, confused.sum())
-        cls[confused] = (cls[confused] + shift) % num_classes
     scores = np.zeros((n, num_classes))
-    scores[np.arange(n), cls] = 1.0
+    scores[np.arange(n), class_t] = 1.0
 
     pred = PredictionFields(
         voxels=surface.coords,

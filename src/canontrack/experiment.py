@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -33,19 +34,16 @@ class ExperimentConfig:
     image_height: int = 180
     voxel_size: float = 0.05
     # degradation knobs
-    completion_fraction: float = 1.0
+    completion_fraction: float = 1.0  # 0 is "no compl.": visible only
     occupancy_flip_rate: float = 0.0
     noc_noise: float = 0.0
     detector_flip_rate: float = 0.0
     detector_center_jitter: float = 0.0
     detector_extent_jitter: float = 0.0
-    detector_class_confusion: float = 0.0
-    # ablation flags
-    no_completion: bool = False  # "no compl.": visible-only geometry
+    # ablation flag
     no_correspondence_matching: bool = False  # "no corr.": skip rescue pass
     # scoring protocol
     mota_gate: float = metrics.MOTA_GATE
-    class_gated_mota: bool = False
     output_dir: str = "out"
     workers: int = 1
 
@@ -57,15 +55,15 @@ class ExperimentConfig:
              lambda v: _is_number(v, numbers.Integral), "an integer"),
             (("voxel_size", "completion_fraction", "occupancy_flip_rate",
               "noc_noise", "detector_flip_rate", "detector_center_jitter",
-              "detector_extent_jitter", "detector_class_confusion",
-              "mota_gate"),
-             lambda v: _is_number(v, numbers.Real), "a real number"),
-            (("no_completion", "no_correspondence_matching",
-              "class_gated_mota"), lambda v: isinstance(v, bool), "a bool"),
+              "detector_extent_jitter", "mota_gate"),
+             lambda v: _is_number(v, numbers.Real) and math.isfinite(v),
+             "a finite real number"),
+            (("no_correspondence_matching",),
+             lambda v: isinstance(v, bool), "a bool"),
             (("output_dir",), lambda v: isinstance(v, str), "a string"),
             (("seed",), lambda v: v >= 0, "non-negative"),
             (("completion_fraction", "occupancy_flip_rate",
-              "detector_flip_rate", "detector_class_confusion"),
+              "detector_flip_rate"),
              lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
             (("noc_noise", "detector_center_jitter", "detector_extent_jitter"),
              lambda v: v >= 0.0, "non-negative"),
@@ -112,20 +110,15 @@ class ExperimentConfig:
         with open(path) as f:
             return cls.from_dict(json.load(f))
 
-    def save(self, path) -> None:
-        write_json(path, self.to_dict(), indent=2)
-
     def pipeline_config(self, sequence_id: int) -> pipeline.PipelineConfig:
-        f = 0.0 if self.no_completion else self.completion_fraction
         return pipeline.PipelineConfig(
             detector=DetectorKnobs(
                 objectness_flip_rate=self.detector_flip_rate,
                 center_jitter=self.detector_center_jitter,
                 extent_jitter=self.detector_extent_jitter,
-                class_confusion=self.detector_class_confusion,
             ),
             completion=DegradationKnobs(
-                completion_fraction=f,
+                completion_fraction=self.completion_fraction,
                 occupancy_flip_rate=self.occupancy_flip_rate,
                 noc_noise=self.noc_noise,
             ),
@@ -168,7 +161,7 @@ def score_tracking(dump: dict, gt_dump: dict,
         for fr in gt_dump["frames"]
     }
     breakdown = metrics.mota(metrics.tracklet_dump_to_frames(dump), gt_frames,
-                             config.mota_gate, config.class_gated_mota)
+                             config.mota_gate)
     return {"mota": breakdown.mota, "mota_breakdown": breakdown.to_dict()}
 
 
@@ -343,10 +336,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return _run([config])[0]
 
 
-CSV_FIELDS = ["completion_fraction", "no_completion",
-              "no_correspondence_matching", "sequence", "mota",
-              "mean_completion_iou", "median_rotation_error_deg",
-              "detection_map_50", "completion_map_25"]
+CSV_FIELDS = ["completion_fraction", "no_correspondence_matching",
+              "sequence", "mota", "mean_completion_iou",
+              "median_rotation_error_deg", "detection_map_50",
+              "completion_map_25"]
 
 
 def write_csv(path, summaries) -> None:
@@ -359,7 +352,6 @@ def write_csv(path, summaries) -> None:
             for sid, scores in sorted(s["per_sequence"].items()):
                 w.writerow({
                     "completion_fraction": cfg["completion_fraction"],
-                    "no_completion": cfg["no_completion"],
                     "no_correspondence_matching":
                         cfg["no_correspondence_matching"],
                     "sequence": sid,
@@ -380,14 +372,10 @@ def sweep_completion(config: ExperimentConfig,
 
     Each sequence is rendered and fused once and tracked at every fraction.
     Every fraction is checked before the first sequence is built: a fraction
-    outside [0, 1], two fractions that share a directory, and no_completion
-    (which would track every fraction at 0) raise ValueError.  Each
-    fraction's run_experiment files go into output_dir/f_<fraction>/, and
-    sweep.csv into output_dir.
+    outside [0, 1] and two fractions that share a directory raise
+    ValueError.  Each fraction's run_experiment files go into
+    output_dir/f_<fraction>/, and sweep.csv into output_dir.
     """
-    if config.no_completion:
-        raise ValueError("no_completion cannot be swept: it tracks every "
-                         "completion fraction at 0")
     if not fractions:
         raise ValueError("no completion fractions to sweep")
     by_dir = {}

@@ -67,11 +67,6 @@ def yaw_rotation(angle_rad: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def rotation_x(angle_rad: float) -> np.ndarray:
-    c, s = np.cos(angle_rad), np.sin(angle_rad)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
 @dataclass
 class Box3:
     """Axis-aligned box given by center and full side lengths, in meters."""
@@ -125,18 +120,14 @@ def box_iou_3d(a: Box3, b: Box3) -> float:
     return inter / union
 
 
-def volumetric_iou(a, b) -> float:
-    """IoU of two binary voxel grids of equal dims; 0 when both are empty.
-
-    Accepts OccupancyGrid-like objects (with a `.bits` array) or raw boolean
-    arrays.
-    """
-    ba = np.asarray(getattr(a, "bits", a), dtype=bool)
-    bb = np.asarray(getattr(b, "bits", b), dtype=bool)
-    if ba.shape != bb.shape:
-        raise ValueError(f"grid dims mismatch: {ba.shape} vs {bb.shape}")
-    union = np.count_nonzero(ba | bb)
+def volumetric_iou(a: np.ndarray, b: np.ndarray) -> float:
+    """IoU of two bool voxel grids of equal dims; 0 when both are empty."""
+    if a.dtype != bool or b.dtype != bool:
+        raise ValueError(f"grids must be bool, got {a.dtype} and {b.dtype}")
+    if a.shape != b.shape:
+        raise ValueError(f"grid dims mismatch: {a.shape} vs {b.shape}")
+    union = np.count_nonzero(a | b)
     if union == 0:
         return 0.0
-    inter = np.count_nonzero(ba & bb)
+    inter = np.count_nonzero(a & b)
     return inter / union

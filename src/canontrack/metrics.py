@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pose import rotation_error
-from .track import hungarian
+from .track import gated_assignment
 
 MOTA_GATE = 0.25  # meters, center distance
 
@@ -59,8 +59,8 @@ class MotaBreakdown:
         }
 
 
-def mota(pred_frames: dict, gt_frames: dict, gate: float = MOTA_GATE,
-         class_gated: bool = False) -> MotaBreakdown:
+def mota(pred_frames: dict, gt_frames: dict,
+         gate: float = MOTA_GATE) -> MotaBreakdown:
     """CLEAR-MOT accuracy.
 
     `pred_frames` / `gt_frames` map frame index -> list of TrackRecord.
@@ -88,8 +88,6 @@ def mota(pred_frames: dict, gt_frames: dict, gate: float = MOTA_GATE,
             if pid is None or pid not in pred_by_id or pid in matched_pred:
                 continue
             p = pred_by_id[pid]
-            if class_gated and p.class_id != g.class_id:
-                continue
             if np.linalg.norm(p.center - g.center) <= gate:
                 matched_gt.add(g.track_id)
                 matched_pred.add(pid)
@@ -102,20 +100,15 @@ def mota(pred_frames: dict, gt_frames: dict, gate: float = MOTA_GATE,
             dist = np.zeros((len(free_g), len(free_p)))
             for i, g in enumerate(free_g):
                 for j, p in enumerate(free_p):
-                    d = np.linalg.norm(p.center - g.center)
-                    if class_gated and p.class_id != g.class_id:
-                        d = np.inf
-                    dist[i, j] = d
-            big = 1e9
-            for i, j in hungarian(np.where(np.isfinite(dist), dist, big)):
-                if dist[i, j] <= gate:
-                    g, p = free_g[i], free_p[j]
-                    prev = corr.get(g.track_id)
-                    if prev is not None and prev != p.track_id:
-                        mme += 1
-                    corr[g.track_id] = p.track_id
-                    matched_gt.add(g.track_id)
-                    matched_pred.add(p.track_id)
+                    dist[i, j] = np.linalg.norm(p.center - g.center)
+            for i, j in gated_assignment(dist, dist <= gate):
+                g, p = free_g[i], free_p[j]
+                prev = corr.get(g.track_id)
+                if prev is not None and prev != p.track_id:
+                    mme += 1
+                corr[g.track_id] = p.track_id
+                matched_gt.add(g.track_id)
+                matched_pred.add(p.track_id)
 
         breakdown.misses.append(len(gts) - len(matched_gt))
         breakdown.false_positives.append(len(preds) - len(matched_pred))

@@ -9,10 +9,15 @@ import numpy as np
 
 from .geom import SimilarityTransform, yaw_rotation
 
-SYMMETRY_KINDS = ("none", "two_fold", "four_fold", "cylindrical")
-
-# Canonical up axis is +z; all symmetry groups rotate about it.
-UP_AXIS = 2
+# Discrete rotations about the canonical up axis (+z) that leave the shape
+# of each symmetry kind invariant.  Cylindrical symmetry is continuous and
+# handled analytically by rotation_error.
+SYMMETRY_GROUPS = {
+    "none": [np.eye(3)],
+    "two_fold": [yaw_rotation(0.0), yaw_rotation(np.pi)],
+    "four_fold": [yaw_rotation(k * np.pi / 2) for k in range(4)],
+    "cylindrical": None,
+}
 
 
 class DegenerateCorrespondences(ValueError):
@@ -32,27 +37,6 @@ class CorrespondenceSet:
             raise ValueError("point lists must have equal length")
         if len(self.canonical) < 3:
             raise ValueError("need at least 3 correspondences")
-
-
-@dataclass
-class SymmetryClass:
-    kind: str = "none"
-
-    def __post_init__(self):
-        if self.kind not in SYMMETRY_KINDS:
-            raise ValueError(f"unknown symmetry kind {self.kind!r}")
-
-    def group(self) -> list:
-        """Discrete rotations leaving the canonical shape invariant.
-
-        Cylindrical symmetry is continuous and handled analytically by
-        rotation_error; here it degenerates to the identity.
-        """
-        if self.kind == "two_fold":
-            return [yaw_rotation(0.0), yaw_rotation(np.pi)]
-        if self.kind == "four_fold":
-            return [yaw_rotation(k * np.pi / 2) for k in range(4)]
-        return [np.eye(3)]
 
 
 def umeyama_solve(corr: CorrespondenceSet, eps: float = 1e-9) -> SimilarityTransform:
@@ -111,16 +95,16 @@ def _best_cylindrical_trace(m: np.ndarray) -> float:
 
 
 def rotation_error(pred: np.ndarray, target: np.ndarray,
-                   sym: SymmetryClass | str = "none") -> float:
-    """Geodesic rotation error in degrees, minimized over the symmetry group."""
-    if isinstance(sym, str):
-        sym = SymmetryClass(sym)
-    if sym.kind == "cylindrical":
+                   sym: str = "none") -> float:
+    """Geodesic rotation error in degrees, minimized over the symmetry group
+    of the SYMMETRY_GROUPS kind `sym`."""
+    if sym not in SYMMETRY_GROUPS:
+        raise ValueError(f"unknown symmetry kind {sym!r}")
+    if sym == "cylindrical":
         # angle(pred, target @ Rz(theta)) minimized analytically over theta
         m = target.T @ pred
         cos = np.clip((_best_cylindrical_trace(m) - 1.0) / 2.0, -1.0, 1.0)
         return float(np.degrees(np.arccos(cos)))
-    return min(
-        _geodesic_angle_deg((target @ g).T @ pred) for g in sym.group()
-    )
+    return min(_geodesic_angle_deg((target @ g).T @ pred)
+               for g in SYMMETRY_GROUPS[sym])
 

@@ -64,10 +64,10 @@ def hungarian(cost: np.ndarray) -> list:
     return sorted(zip(rows.tolist(), cols.tolist()))
 
 
-def gated_assignment(iou: np.ndarray, threshold: float) -> list:
-    """(row, col) pairs of the Hungarian assignment on 1 - IoU whose IoU is
-    at least `threshold`, sorted lexicographically."""
-    return [(i, j) for i, j in hungarian(1.0 - iou) if iou[i, j] >= threshold]
+def gated_assignment(cost: np.ndarray, allowed: np.ndarray) -> list:
+    """(row, col) pairs of the Hungarian assignment on `cost` that the bool
+    mask `allowed` admits, sorted lexicographically."""
+    return [(i, j) for i, j in hungarian(cost) if allowed[i, j]]
 
 
 def associate_frame(tracklets: list, detections: list) -> AssignmentResult:
@@ -79,7 +79,7 @@ def associate_frame(tracklets: list, detections: list) -> AssignmentResult:
     for i, t in enumerate(tracklets):
         for j, d in enumerate(detections):
             iou[i, j] = box_iou_3d(t.last_box, d.box)
-    pairs = gated_assignment(iou, ASSOCIATION_IOU)
+    pairs = gated_assignment(1.0 - iou, iou >= ASSOCIATION_IOU)
     matched_d = {j for _, j in pairs}
     return AssignmentResult(
         matches=[(tracklets[i].id, j, float(iou[i, j])) for i, j in pairs],
@@ -169,8 +169,8 @@ class Tracker:
             iou = np.zeros((len(candidates), len(orphans)))
             for i, j in eligible:
                 iou[i, j] = volumetric_iou(bits[i], bits[orphans[j]])
-            pairs = [(candidates[i], candidates[orphans[j]])
-                     for i, j in gated_assignment(iou, RESCUE_IOU)]
+            pairs = [(candidates[i], candidates[orphans[j]]) for i, j
+                     in gated_assignment(1.0 - iou, iou >= RESCUE_IOU)]
             # Apply non-conflicting merges (a base absorbed this round cannot
             # also be merged away).
             absorbed = set()

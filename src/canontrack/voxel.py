@@ -238,7 +238,7 @@ def extract_surface(grid: DenseTsdfGrid, band: float | None = None) -> SparseSur
     return SparseSurfaceGrid(coords, grid.origin, grid.voxel_size)
 
 
-def binarize(values: np.ndarray, threshold: float = 0.5) -> OccupancyGrid:
-    """Occupied where value >= threshold (inclusive at the boundary)."""
-    v = np.asarray(values, dtype=np.float64)
-    return OccupancyGrid(v >= threshold)
+def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+    """bool grid, occupied where value >= threshold (inclusive at the
+    boundary)."""
+    return np.asarray(values, dtype=np.float64) >= threshold

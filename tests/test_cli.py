@@ -1,3 +1,4 @@
+import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -13,10 +14,10 @@ from canontrack.cli import main
 @pytest.fixture(scope="module")
 def config_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "config.json"
-    experiment.ExperimentConfig(
+    experiment.write_json(path, experiment.ExperimentConfig(
         seed=3, n_sequences=1, n_frames=3, n_objects=2, motion="slow",
         image_width=160, image_height=120,
-    ).save(path)
+    ).to_dict())
     return str(path)
 
 
@@ -84,6 +85,17 @@ class TestTrackAndEval:
         summary = json.loads((Path(out) / "metrics.json").read_text())
         assert summary["config"]["no_correspondence_matching"] is True
 
+    def test_no_completion_recorded_as_fraction_zero(self, config_path,
+                                                     tmp_path):
+        r = run_cli("track", "--config", config_path, "--output",
+                    str(tmp_path), "--ablation", "no_completion")
+        assert r.exit_code == 0, r.output
+        summary = json.loads((tmp_path / "metrics.json").read_text())
+        assert summary["config"]["completion_fraction"] == 0.0
+        with open(tmp_path / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [float(row["completion_fraction"]) for row in rows] == [0.0]
+
     def test_round_trip_matches_run_experiment(self, tmp_path, monkeypatch):
         # degraded enough that MOTA is below 1 and differs per sequence
         cfg = experiment.ExperimentConfig(
@@ -94,7 +106,7 @@ class TestTrackAndEval:
         expected = experiment.run_experiment(cfg)
         # `track` runs the same sequences on two worker processes.
         path = str(tmp_path / "config.json")
-        replace(cfg, workers=2).save(path)
+        experiment.write_json(path, replace(cfg, workers=2).to_dict())
         monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
         RecordingPool.entered = []
         out = tmp_path / "cli"

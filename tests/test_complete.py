@@ -9,11 +9,15 @@ from scipy.stats import spearmanr
 from canontrack import synth
 from canontrack.complete import (DegradationKnobs, detection_rng,
                                  oracle_complete)
-from canontrack.geom import (Box3, SimilarityTransform, rotation_x,
-                             volumetric_iou)
+from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
 from canontrack.pose import solve_pose
 from canontrack.voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
 from noc_reference import NocGrid, ground_truth_noc
+
+
+def rotation_x(angle_rad: float) -> np.ndarray:
+    c, s = np.cos(angle_rad), np.sin(angle_rad)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def _visible_mask(visible_voxels: np.ndarray, resolution: int) -> np.ndarray:

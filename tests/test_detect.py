@@ -348,7 +348,7 @@ class TestOracleFields:
     def test_knobs_are_reproducible(self):
         surface, gt = self.scene_surface()
         knobs = DetectorKnobs(objectness_flip_rate=0.1, center_jitter=0.5,
-                              extent_jitter=0.5, class_confusion=0.2)
+                              extent_jitter=0.5)
         a, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
                                   knobs, np.random.default_rng(42))
         b, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,

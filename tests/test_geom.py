@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from canontrack.geom import (Box3, SimilarityTransform, box_iou_3d,
                              volumetric_iou, yaw_rotation)
-from canontrack.voxel import OccupancyGrid
 
 
 def random_rotation(rng):
@@ -116,7 +115,7 @@ class TestVolumetricIou:
     def test_identical_nonempty(self):
         g = np.zeros((4, 4, 4), dtype=bool)
         g[1:3, 1:3, 1:3] = True
-        assert volumetric_iou(OccupancyGrid(g), OccupancyGrid(g)) == 1.0
+        assert volumetric_iou(g, g) == 1.0
 
     def test_disjoint(self):
         a = np.zeros((4, 4, 4), dtype=bool)
@@ -141,6 +140,11 @@ class TestVolumetricIou:
         union = np.count_nonzero(a | b)
         assert (inter, union) == (4, 12)
         assert volumetric_iou(a, b) == pytest.approx(4 / 12)
+
+    def test_non_bool_grids_rejected(self):
+        g = np.zeros((2, 2, 2), dtype=np.uint8)
+        with pytest.raises(ValueError, match="bool"):
+            volumetric_iou(g, g.astype(bool))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from canontrack.metrics import (GroundTruthInstance, MotaBreakdown,
                                 pose_error_stats, tracklet_dump_to_frames)
 
 
-def rec(tid, x, class_id=0):
-    return TrackRecord(tid, [x, 0.0, 0.0], class_id)
+def rec(tid, x):
+    return TrackRecord(tid, [x, 0.0, 0.0])
 
 
 class TestMota:
@@ -118,12 +118,6 @@ class TestMota:
     def test_pred_frames_outside_gt_rejected(self):
         with pytest.raises(ValueError):
             mota({5: [rec(0, 0.0)]}, {0: [rec(0, 0.0)]})
-
-    def test_class_gated(self):
-        gt = {0: [rec(0, 0.0, class_id=1)]}
-        pred = {0: [rec(10, 0.0, class_id=2)]}
-        assert mota(pred, gt, class_gated=False).mota == 1.0
-        assert mota(pred, gt, class_gated=True).mota == -1.0
 
 
 class TestTrackletDumpToFrames:

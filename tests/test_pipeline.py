@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import shutil
@@ -80,15 +81,16 @@ class TestPipeline:
 
 class TestExperimentConfig:
     def test_json_round_trip(self, tmp_path):
-        cfg = small_config(noc_noise=0.01, no_completion=True)
+        cfg = small_config(noc_noise=0.01, no_correspondence_matching=True)
         path = tmp_path / "cfg.json"
-        cfg.save(path)
+        experiment.write_json(path, cfg.to_dict())
         back = experiment.ExperimentConfig.load(path)
         assert back == cfg
 
     @pytest.mark.parametrize("name", [
         "bogus", "association_iou", "rescue_iou", "binarize_threshold",
-        "class_gated_association"])
+        "class_gated_association", "no_completion", "class_gated_mota",
+        "detector_class_confusion"])
     def test_unknown_field_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             experiment.ExperimentConfig.from_dict({name: 0.3})
@@ -103,15 +105,16 @@ class TestExperimentConfig:
         ("jump_period", 0), ("voxel_size", 0.0), ("image_width", 0),
         ("image_height", 0), ("workers", 0), ("noc_noise", -0.1),
         ("detector_center_jitter", -1.0), ("detector_extent_jitter", -1.0),
-        ("detector_flip_rate", 1.5), ("detector_class_confusion", 2.0),
-        ("occupancy_flip_rate", -0.5), ("n_frames", 2.5), ("seed", -1),
+        ("detector_flip_rate", 1.5), ("occupancy_flip_rate", -0.5), ("n_frames", 2.5), ("seed", -1),
         ("seed", 1.5), ("image_width", 160.5), ("jump_period", 1.5),
         ("n_sequences", 2.0), ("n_objects", True), ("image_height", 120.5),
-        ("workers", 1.5), ("no_completion", "false"),
-        ("no_correspondence_matching", 0), ("class_gated_mota", "true"),
+        ("workers", 1.5), ("no_correspondence_matching", 0),
         ("voxel_size", True), ("noc_noise", "0.01"),
         ("completion_fraction", None), ("mota_gate", True),
-        ("output_dir", 3),
+        ("output_dir", 3), ("noc_noise", float("inf")),
+        ("detector_center_jitter", float("inf")),
+        ("detector_extent_jitter", float("inf")),
+        ("voxel_size", float("inf")), ("mota_gate", float("inf")),
     ])
     def test_rejects_values_the_program_cannot_honour(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -122,13 +125,73 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at most 3"):
             experiment.ExperimentConfig(n_objects=4).validate()
 
-    def test_no_completion_routes_fraction(self):
-        cfg = small_config(no_completion=True, completion_fraction=1.0)
-        assert cfg.pipeline_config(0).completion.completion_fraction == 0.0
-
     def test_no_correspondence_matching_disables_rescue(self):
         cfg = small_config(no_correspondence_matching=True)
         assert not cfg.pipeline_config(0).enable_rescue
+
+    # One valid value, other than the probe config's, for every field.
+    NON_DEFAULT = dict(
+        seed=1, n_sequences=2, n_frames=3, n_objects=1, motion="slow",
+        jump_period=1, image_width=64, image_height=48, voxel_size=0.08,
+        completion_fraction=0.5, occupancy_flip_rate=0.1, noc_noise=0.01,
+        detector_flip_rate=0.1, detector_center_jitter=0.5,
+        detector_extent_jitter=0.5, no_correspondence_matching=True,
+        mota_gate=0.5, output_dir="elsewhere", workers=2)
+    # Fields that only a run reads.
+    RUN_FIELDS = ("voxel_size", "n_sequences", "workers", "output_dir")
+
+    def test_every_field_is_read(self, tmp_path, monkeypatch):
+        base = small_config(motion="fast", n_frames=2, image_width=48,
+                            image_height=36)
+
+        def box(x):
+            return {"center": [x, 0.0, 0.0], "extents": [0.5, 0.5, 0.5]}
+
+        # One object over two frames, predicted 0.3 m off in frame 1.
+        gt = {"version": 1, "frames": [
+            {"frame": f, "objects": [{"id": 0, "class_id": 0,
+                                      "box": box(0.0)}]}
+            for f in range(2)]}
+        dump = {"version": 1, "frame_count": 2, "tracklets": [
+            {"id": 0, "class_id": 0, "frames": [
+                {"frame": f, "box": box(0.3 * f), "pose": None}
+                for f in range(2)]}]}
+
+        def probe(cfg):
+            return (experiment.make_script(cfg, 0).to_dict(),
+                    cfg.pipeline_config(0),
+                    experiment.score_tracking(dump, gt, cfg))
+
+        pools = []
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", recording_pool)
+
+        def run_probe(cfg):
+            """Files written (metrics.json records the config itself) and
+            the process pools entered by a run in a fresh directory."""
+            root = tmp_path / f"run{len(list(tmp_path.iterdir()))}"
+            root.mkdir()
+            monkeypatch.chdir(root)
+            pools.clear()
+            experiment.run_experiment(cfg)
+            files = {p.relative_to(root): p.read_bytes()
+                     for p in root.rglob("*")
+                     if p.is_file() and p.name != "metrics.json"}
+            return files, list(pools)
+
+        base_probe, base_run = probe(base), run_probe(base)
+        for field in dataclasses.fields(experiment.ExperimentConfig):
+            assert field.name in self.NON_DEFAULT, f"no probe for {field.name}"
+            cfg = replace(base, **{field.name: self.NON_DEFAULT[field.name]})
+            cfg.validate()
+            if field.name in self.RUN_FIELDS:
+                assert run_probe(cfg) != base_run, f"{field.name} is not read"
+            else:
+                assert probe(cfg) != base_probe, f"{field.name} is not read"
 
 
 class TestRunExperiment:

@@ -171,6 +171,6 @@ class TestBinarize:
     def test_threshold_inclusive(self):
         g = binarize(np.array([[[0.49, 0.5], [0.51, 0.0]],
                                [[1.0, 0.2], [0.5, 0.9]]]), 0.5)
-        assert g.bits.tolist() == [[[False, True], [True, False]],
-                                   [[True, False], [True, True]]]
+        assert g.tolist() == [[[False, True], [True, False]],
+                              [[True, False], [True, True]]]
 
