@@ -5,8 +5,9 @@ poses, visible-voxel sets).
 Depth rendering casts one ray per pixel, intersects it with each object's
 canonical occupancy (marched at half-voxel steps, then bisected to the
 occupancy boundary) and z-buffers the results together with an optional
-ground plane.  Depth is the camera-frame z coordinate; 0 marks invalid
-pixels.
+ground plane.  Each object is ray-cast only on the pixels of its projected
+box's bounding rectangle.  Depth is the camera-frame z coordinate; 0 marks
+invalid pixels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy import ndimage
 
 from .geom import Box3, SimilarityTransform, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
-                    depth_at, lattice_centers, nearest_voxel)
+                    depth_at, nearest_voxel)
 
 # Random scenes place objects within PLACEMENT_RADIUS of the origin, at least
 # MIN_SEPARATION apart.  Over seeds 0-299, placement failed for 0 scenes of 3
@@ -81,11 +82,18 @@ class ObjectTemplate:
     @functools.cached_property
     def canonical_bbox(self) -> tuple:
         """(lo, hi) canonical-space AABB of the occupied voxels, computed
-        once per template; read-only."""
-        occ = np.argwhere(self.canonical_occupancy.bits)
+        once per template from the occupancy's three axis projections;
+        read-only."""
+        bits = self.canonical_occupancy.bits
         res = self.canonical_occupancy.dims[0]
-        lo = occ.min(axis=0) / res
-        hi = (occ.max(axis=0) + 1) / res
+        first, last = [], []
+        for axis in range(3):
+            occupied = np.flatnonzero(
+                bits.any(axis=tuple(a for a in range(3) if a != axis)))
+            first.append(occupied[0])
+            last.append(occupied[-1])
+        lo = np.array(first) / res
+        hi = (np.array(last) + 1) / res
         return _read_only(lo), _read_only(hi)
 
     @functools.cached_property
@@ -108,10 +116,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _shape_mask(kind: str, u: np.ndarray) -> np.ndarray:
-    """Occupancy predicate in shape-local coordinates u in [-1,1]^3."""
-    ux, uy, uz = u[..., 0], u[..., 1], u[..., 2]
-    inside = np.all(np.abs(u) <= 1.0, axis=-1)
+def _shape_mask(kind: str, ux: np.ndarray, uy: np.ndarray,
+                uz: np.ndarray) -> np.ndarray:
+    """Occupancy predicate in shape-local coordinates (ux, uy, uz) in
+    [-1,1]^3, given as arrays that broadcast together."""
+    inside = (np.abs(ux) <= 1.0) & (np.abs(uy) <= 1.0) & (np.abs(uz) <= 1.0)
     if kind in ("cube", "box"):
         return inside
     if kind == "l_shape":
@@ -153,9 +162,12 @@ def make_template(kind: str, physical_scale,
         scale[0] = scale[1] = max(scale[0], scale[1])
     frac = scale / scale.max()  # occupied fraction of the unit cube per axis
 
-    cc = lattice_centers((OBJECT_RESOLUTION,) * 3) / OBJECT_RESOLUTION
-    u = (cc - 0.5) / (0.5 * frac)
-    bits = _shape_mask(kind, u)
+    # Voxel centers of one axis; the shape is evaluated on the broadcast of
+    # the three axes' shape-local coordinates.
+    c = (np.arange(OBJECT_RESOLUTION) + 0.5) / OBJECT_RESOLUTION
+    ux, uy, uz = ((c - 0.5) / (0.5 * f) for f in frac)
+    bits = _shape_mask(kind, ux[:, None, None], uy[None, :, None],
+                       uz[None, None, :])
     return ObjectTemplate(
         id=template_id or kind,
         kind=kind,
@@ -180,12 +192,18 @@ def object_pose(template: ObjectTemplate, center_xy, yaw: float,
     return SimilarityTransform(c, rot, np.array([txy[0], txy[1], tz]))
 
 
-def posed_bbox(template: ObjectTemplate, pose: SimilarityTransform) -> Box3:
-    """World-space AABB of the posed canonical occupied region."""
+def _posed_corners(template: ObjectTemplate,
+                   pose: SimilarityTransform) -> np.ndarray:
+    """World-space (8, 3) corners of the posed canonical occupied box."""
     lo, hi = template.canonical_bbox
     corners = np.array([[x, y, z] for x in (lo[0], hi[0])
                         for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
-    w = pose.apply(corners)
+    return pose.apply(corners)
+
+
+def posed_bbox(template: ObjectTemplate, pose: SimilarityTransform) -> Box3:
+    """World-space AABB of the posed canonical occupied region."""
+    w = _posed_corners(template, pose)
     mn, mx = w.min(axis=0), w.max(axis=0)
     return Box3(0.5 * (mn + mx), np.maximum(mx - mn, 1e-6))
 
@@ -225,6 +243,11 @@ class SceneScript:
             raise ValueError("need at least one frame")
         if len(self.camera_poses) != len(self.object_poses):
             raise ValueError("camera and object pose counts differ")
+        for f, poses in enumerate(self.object_poses):
+            if len(poses) != len(self.templates):
+                raise ValueError(
+                    f"frame {f} has {len(poses)} object poses for "
+                    f"{len(self.templates)} templates")
 
     @property
     def frame_count(self) -> int:
@@ -309,6 +332,27 @@ def _pixel_rays(intrinsics: CameraIntrinsics, camera_pose: SimilarityTransform):
     return dirs_world.reshape(-1, 3)
 
 
+def _covered_pixels(intrinsics: CameraIntrinsics,
+                    corners_cam: np.ndarray) -> np.ndarray:
+    """Flat indices of the pixels whose rays can enter a box, given its
+    (8, 3) camera-frame corners: every pixel that overlaps the corners'
+    projected bounding rectangle grown by one pixel, or every pixel when a
+    corner is at or behind the camera."""
+    width, height = intrinsics.width, intrinsics.height
+    z = corners_cam[:, 2]
+    if np.any(z <= 0.0):
+        return np.arange(width * height)
+    u = intrinsics.fx * corners_cam[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * corners_cam[:, 1] / z + intrinsics.cy
+    # Clipped as floats: a corner just in front of the camera can project
+    # arbitrarily far off the image.
+    u0, u1 = np.clip([np.floor(u.min()) - 1, np.ceil(u.max()) + 1],
+                     0, width).astype(np.int64)
+    v0, v1 = np.clip([np.floor(v.min()) - 1, np.ceil(v.max()) + 1],
+                     0, height).astype(np.int64)
+    return (np.arange(v0, v1)[:, None] * width + np.arange(u0, u1)).ravel()
+
+
 def _ray_box(o, d, lo, hi):
     """Slab intersection; returns (s_enter, s_exit) with s_exit < s_enter when
     the ray misses."""
@@ -334,7 +378,6 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
     step_c = 0.5 / bits.shape[0]
     n = len(dirs_c)
     hit = np.full(n, np.inf)
-    norm = np.linalg.norm(dirs_c, axis=1)
     s0, s1 = _ray_box(origin_c, dirs_c, lo, hi)
     s0 = np.maximum(s0, 1e-9)
     cand = np.nonzero(s1 > s0)[0]
@@ -343,7 +386,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
 
     d_cand = dirs_c[cand]
     s0c, s1c = s0[cand], s1[cand]
-    ds = step_c / norm[cand]
+    ds = step_c / np.linalg.norm(d_cand, axis=1)
     steps = np.ceil((s1c - s0c) / ds).astype(np.int64)
     active = np.arange(len(cand))
     found = np.full(len(cand), np.inf)
@@ -399,16 +442,19 @@ def render_frame(script: SceneScript, frame_idx: int,
             & (np.abs(py) <= script.floor_half_extent)
         zbuf[ok] = s[ok]
 
+    cam_inv = cam.inverse()
     for oi, template in enumerate(script.templates):
         pose = script.object_poses[frame_idx][oi]
+        rows = _covered_pixels(
+            intr, cam_inv.apply(_posed_corners(template, pose)))
         inv = pose.inverse()
         o_c = inv.apply(o)
-        d_c = dirs @ (inv.scale * inv.rotation).T
+        d_c = (dirs @ (inv.scale * inv.rotation).T)[rows]
         lo, hi = template.canonical_bbox
         hit = _raycast_object(o_c, d_c, template.canonical_occupancy.bits,
                               lo, hi)
-        closer = hit < zbuf
-        zbuf[closer] = hit[closer]
+        closer = hit < zbuf[rows]
+        zbuf[rows[closer]] = hit[closer]
 
     depth = np.where(np.isfinite(zbuf), zbuf, 0.0).reshape(intr.height, intr.width)
 
@@ -419,7 +465,7 @@ def render_frame(script: SceneScript, frame_idx: int,
         res = template.canonical_occupancy.dims[0]
         centers_c = (surf + 0.5) / res
         w = pose.apply(centers_c)
-        pc = cam.inverse().apply(w)
+        pc = cam_inv.apply(w)
         d_px = depth_at(depth, intr, pc)
         vis = (d_px > 0) & (np.abs(d_px - pc[:, 2]) < visibility_band)
         objects.append(

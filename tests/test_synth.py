@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.spatial.transform import Rotation
 
-from canontrack import synth
+import render_reference
+from canontrack import synth, voxel
 from canontrack.geom import Box3, SimilarityTransform
 from canontrack.pose import solve_pose
 from canontrack.synth import (SceneScript, default_intrinsics, look_at,
@@ -82,6 +86,40 @@ class TestTemplates:
         for a in (lo, hi, t.surface_voxels, t.dilated_occupancy):
             with pytest.raises(ValueError):
                 a[0] = 0
+
+    def test_never_builds_the_full_lattice(self, monkeypatch):
+        calls = []
+        lattice_centers = voxel.lattice_centers
+
+        def counting(dims):
+            calls.append(dims)
+            return lattice_centers(dims)
+
+        monkeypatch.setattr(voxel, "lattice_centers", counting)
+        monkeypatch.setattr(synth, "lattice_centers", counting, raising=False)
+        for kind in synth.TEMPLATE_KINDS:
+            make_template(kind, [0.6, 0.5, 0.4])
+        assert calls == []
+
+
+class TestTemplatesAgainstFullLattice:
+    @pytest.mark.parametrize("kind", sorted(synth.TEMPLATE_KINDS))
+    @given(size=st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3))
+    @example(size=[0.05, 0.05, 0.05])
+    @example(size=[0.05, 1.0, 0.05])
+    @example(size=[1.0, 0.05, 1.0])
+    @example(size=[0.05, 0.05, 1.0])
+    @settings(max_examples=15, deadline=None)
+    def test_bitwise_equal(self, kind, size):
+        ref = render_reference.make_template(kind, size)
+        t = make_template(kind, size)
+        bits = t.canonical_occupancy.bits
+        assert bits.dtype == ref.canonical_occupancy.bits.dtype
+        assert bits.tobytes() == ref.canonical_occupancy.bits.tobytes()
+        assert t.physical_scale.tobytes() == ref.physical_scale.tobytes()
+        for a, b in zip(t.canonical_bbox,
+                        render_reference.canonical_bbox(bits)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestObjectPose:
@@ -182,6 +220,109 @@ class TestRenderFrame:
         assert inside.all()
         assert face.max() < 1e-6
 
+    def test_casts_only_pixels_the_box_can_cover(self, monkeypatch):
+        script = single_object_script()
+        rows = []
+        ray_box = synth._ray_box
+
+        def counting(o, d, lo, hi):
+            rows.append(len(d))
+            return ray_box(o, d, lo, hi)
+
+        monkeypatch.setattr(synth, "_ray_box", counting)
+        depth, _ = render_frame(script, 0)
+        assert depth.any()
+        intr = script.intrinsics
+        assert 0 < max(rows) < intr.width * intr.height
+
+
+def reference_scene(objects, eye, target, width=48, height=36,
+                    include_floor=False):
+    """One frame of (kind, size, xy, yaw) objects seen from eye."""
+    templates = [make_template(kind, size) for kind, size, *_ in objects]
+    poses = [object_pose(t, xy, yaw)
+             for t, (_, _, xy, yaw) in zip(templates, objects)]
+    return SceneScript(
+        templates=templates, object_poses=[poses],
+        camera_poses=[look_at(eye, target)],
+        intrinsics=default_intrinsics(width, height),
+        scene_bounds=Box3([0, 0, 0.3], [4.0, 4.0, 2.0]),
+        include_floor=include_floor,
+    )
+
+
+CUBE = ("cube", [0.6, 0.6, 0.6], [0.0, 0.0], 0.0)
+# Odd image sizes put the center column and row on the optical axis, so
+# their rays lie, up to rounding, in the cube's x = 0.3 face plane and
+# z = 0.6 top plane.
+GRAZING = reference_scene([CUBE], [0.3, -2.0, 0.6], [0.3, 0.0, 0.6],
+                          width=49, height=37)
+INSIDE = reference_scene([CUBE], [0.05, -0.1, 0.3], [1.0, 2.0, 0.0])
+NEXT_TO = reference_scene([CUBE], [0.0, -0.301, 0.3], [0.0, 0.0, 0.3],
+                          include_floor=True)
+PARTLY_OFF_SCREEN = reference_scene(
+    [CUBE, ("table", [0.8, 0.5, 0.5], [0.0, 1.2], 0.7)],
+    [0.0, -2.5, 1.0], [1.4, 0.0, 0.3], include_floor=True)
+WHOLLY_OFF_SCREEN = reference_scene([CUBE], [-2.0, -2.0, 0.5],
+                                    [-1.0, -2.3, 0.5], include_floor=True)
+
+
+@st.composite
+def reference_scenes(draw):
+    """One frame of 1-3 posed, possibly tilted and overlapping templates,
+    seen by a small camera far away or next to or inside the first object's
+    box, aimed anywhere, with or without the floor."""
+    templates, poses = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(sorted(synth.TEMPLATE_KINDS)))
+        t = make_template(kind, [draw(st.floats(0.1, 0.9)) for _ in range(3)])
+        pose = object_pose(t, [draw(st.floats(-1.0, 1.0)),
+                               draw(st.floats(-1.0, 1.0))],
+                           draw(st.floats(0.0, 2 * np.pi)))
+        tilt = Rotation.from_euler(
+            "x", draw(st.sampled_from([0.0, 0.3, np.pi / 2]))).as_matrix()
+        templates.append(t)
+        poses.append(SimilarityTransform(pose.scale, pose.rotation @ tilt,
+                                         pose.translation))
+    if draw(st.booleans()):
+        box = posed_bbox(templates[0], poses[0])
+        eye = box.center + box.extents * np.array(
+            [draw(st.floats(-0.8, 0.8)) for _ in range(3)])
+    else:
+        eye = np.array([draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)),
+                        draw(st.floats(0.2, 2.5))])
+    target = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(3)])
+    forward = target - eye
+    # look_at needs a forward direction away from the vertical
+    assume(np.linalg.norm(forward[:2])
+           > 1e-3 * max(np.linalg.norm(forward), 0.1))
+    return SceneScript(
+        templates=templates, object_poses=[poses],
+        camera_poses=[look_at(eye, target)],
+        intrinsics=default_intrinsics(draw(st.sampled_from([33, 48])),
+                                      draw(st.sampled_from([25, 36])),
+                                      draw(st.floats(40.0, 100.0))),
+        scene_bounds=Box3([0, 0, 0.3], [4.0, 4.0, 2.0]),
+        include_floor=draw(st.booleans()),
+    )
+
+
+class TestRenderAgainstEveryPixelReference:
+    @given(reference_scenes())
+    @example(GRAZING)
+    @example(INSIDE)
+    @example(NEXT_TO)
+    @example(PARTLY_OFF_SCREEN)
+    @example(WHOLLY_OFF_SCREEN)
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal(self, script):
+        depth, gt = render_frame(script, 0)
+        ref_depth, ref_gt = render_reference.render_frame(script, 0)
+        assert depth.tobytes() == ref_depth.tobytes()
+        for a, b in zip(gt.objects, ref_gt.objects):
+            assert a.visible_voxels.shape == b.visible_voxels.shape
+            assert a.visible_voxels.tobytes() == b.visible_voxels.tobytes()
+
 
 class TestGroundTruthNoc:
     def test_pose_round_trip(self):
@@ -224,6 +365,19 @@ class TestSceneScript:
                 back.camera_poses[f].to_dict()
         assert [t.kind for t in back.templates] == \
             [t.kind for t in script.templates]
+
+    def test_pose_count_must_match_templates(self):
+        script = make_random_script(seed=7, n_objects=2, n_frames=2)
+        fields = dict(camera_poses=script.camera_poses,
+                      intrinsics=script.intrinsics,
+                      scene_bounds=script.scene_bounds)
+        with pytest.raises(ValueError, match="frame 0 has 2 object poses"):
+            SceneScript(templates=script.templates[:1],
+                        object_poses=script.object_poses, **fields)
+        short = [script.object_poses[0], script.object_poses[1][:1]]
+        with pytest.raises(ValueError, match="frame 1 has 1 object poses"):
+            SceneScript(templates=script.templates, object_poses=short,
+                        **fields)
 
     def test_version_check(self):
         d = make_random_script(seed=7, n_frames=2).to_dict()
