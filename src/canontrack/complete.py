@@ -9,26 +9,19 @@ flips, NOC noise).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
 from .voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 # Canonical-space slack of the candidate-row test, far above the rounding of
 # a crop voxel's canonical coordinates.
 CANDIDATE_SLACK = 1e-9
-
-
-@dataclass
-class DegradationKnobs:
-    """completion_fraction interpolates between the visible-only ablation
-    (0.0) and the full completed geometry (1.0) by random inclusion of
-    hidden voxels."""
-
-    completion_fraction: float = 1.0
-    occupancy_flip_rate: float = 0.0
-    noc_noise: float = 0.0  # sigma, canonical units
 
 
 @dataclass
@@ -111,20 +104,20 @@ def oracle_complete(
     template,
     pose: SimilarityTransform,
     visible_voxels: np.ndarray,
-    knobs: DegradationKnobs = DegradationKnobs(),
-    rng: np.random.Generator | None = None,
+    config: PipelineConfig,
+    rng: np.random.Generator,
 ) -> CompletionOutput:
     """Completed occupancy and NOC correspondences for one detection.
 
     The grids cover the cubified detection box.  Occupancy support is the
-    full posed ground-truth geometry at completion_fraction 1, the visible
-    set at 0, and a random interpolation in between; NOC values are the
-    ground-truth canonical coordinates with optional truncated Gaussian
-    noise.  Only crop voxels that can map into the template's cube are
-    transformed and looked up; random draws still cover the whole crop.
+    full posed ground-truth geometry at the config's completion_fraction 1,
+    the visible set at 0, and a random inclusion of hidden voxels in between;
+    occupancy_flip_rate flips crop voxels, and NOC values are the
+    ground-truth canonical coordinates with truncated Gaussian noise of sigma
+    noc_noise (canonical units).  Only crop voxels that can map into the
+    template's cube are transformed and looked up; random draws still cover
+    the whole crop.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     cube = detection_box.cubified()
     shape = (OBJECT_RESOLUTION,) * 3
     n = OBJECT_RESOLUTION ** 3
@@ -142,7 +135,7 @@ def oracle_complete(
     full = (codes & 1).astype(bool)
     visible = (codes & 3) == 3
 
-    f = float(knobs.completion_fraction)
+    f = float(config.completion_fraction)
     if f >= 1.0:
         support = full
     elif f <= 0.0:
@@ -152,8 +145,8 @@ def oracle_complete(
         support = visible | (hidden & (rng.random(n)[rows] < f))
 
     # Outside the candidate rows support is empty, so occupancy is the flips.
-    if knobs.occupancy_flip_rate > 0:
-        occupancy = rng.random(n) < knobs.occupancy_flip_rate
+    if config.occupancy_flip_rate > 0:
+        occupancy = rng.random(n) < config.occupancy_flip_rate
     else:
         occupancy = np.zeros(n, dtype=bool)
     occupancy[rows] ^= support
@@ -161,8 +154,8 @@ def oracle_complete(
     # NOC only where target geometry exists and is kept
     keep = np.flatnonzero(occupancy[rows] & full)
     coords = np.clip(canon.take(keep, axis=0), 0.0, 1.0)
-    if knobs.noc_noise > 0:
-        noise = rng.normal(0.0, knobs.noc_noise, (n, 3))
+    if config.noc_noise > 0:
+        noise = rng.normal(0.0, config.noc_noise, (n, 3))
         coords = np.clip(coords + noise.take(rows[keep], axis=0), 0.0, 1.0)
 
     full_grid = np.zeros(n, dtype=bool)

@@ -8,6 +8,7 @@ flips, center/extent jitter) to sweep detector quality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -15,10 +16,14 @@ from scipy.spatial import cKDTree
 from .geom import Box3
 from .voxel import SparseSurfaceGrid, nearest_voxel
 
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
+
 EPS = 1e-12
 OBJECTNESS_THRESHOLD = 0.5  # voxels at or above it vote
 MEAN_SHIFT_RADIUS = 8.0  # flat kernel radius and mode merge radius, voxels
 MEAN_SHIFT_STEPS = 20
+MIN_CLUSTER_SIZE = 50  # clusters of fewer votes are dropped
 
 
 @dataclass
@@ -140,7 +145,7 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
 
 
 def mean_shift_proposals(fields: PredictionFields, *,
-                         min_members: int = 50) -> list:
+                         min_members: int = MIN_CLUSTER_SIZE) -> list:
     """Cluster center votes into box proposals.
 
     Voxels with objectness >= OBJECTNESS_THRESHOLD vote at voxel +
@@ -202,31 +207,18 @@ def mean_shift_proposals(fields: PredictionFields, *,
     return proposals
 
 
-@dataclass
-class DetectorKnobs:
-    """Degradation of the oracle detector fields."""
-
-    objectness_flip_rate: float = 0.0
-    center_jitter: float = 0.0  # sigma, voxels
-    extent_jitter: float = 0.0  # sigma, voxels
-
-
-def make_oracle_fields(
-    surface: SparseSurfaceGrid,
-    gt_objects,
-    num_classes: int,
-    knobs: DetectorKnobs = DetectorKnobs(),
-    rng: np.random.Generator | None = None,
-) -> tuple:
+def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
+                       num_classes: int, config: PipelineConfig,
+                       rng: np.random.Generator) -> tuple:
     """Build (PredictionFields, DetectionTargets) from ground truth.
 
     `gt_objects` is a sequence of objects with .box, .pose, .class_id and
     .template attributes (see synth.GroundTruthObject).  A surface voxel is
     owned by the first object whose dilated canonical occupancy
-    (ObjectTemplate.dilated_occupancy) contains it.
+    (ObjectTemplate.dilated_occupancy) contains it.  The config's
+    detector_flip_rate flips objectness, and detector_center_jitter and
+    detector_extent_jitter are Gaussian sigmas in voxels.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     centers = surface.centers()
     n = len(surface)
     owner = np.full(n, -1, dtype=np.int64)
@@ -249,13 +241,13 @@ def make_oracle_fields(
     o_t = mask.astype(np.float64)
 
     o = o_t.copy()
-    flips = rng.random(n) < knobs.objectness_flip_rate
+    flips = rng.random(n) < config.detector_flip_rate
     o[flips] = 1.0 - o[flips]
-    c = c_t + (rng.normal(0.0, knobs.center_jitter, (n, 3))
-               if knobs.center_jitter > 0 else 0.0)
+    c = c_t + (rng.normal(0.0, config.detector_center_jitter, (n, 3))
+               if config.detector_center_jitter > 0 else 0.0)
     d = np.maximum(
-        d_t + (rng.normal(0.0, knobs.extent_jitter, (n, 3))
-               if knobs.extent_jitter > 0 else 0.0),
+        d_t + (rng.normal(0.0, config.detector_extent_jitter, (n, 3))
+               if config.detector_extent_jitter > 0 else 0.0),
         0.1,
     )
     scores = np.zeros((n, num_classes))

@@ -8,15 +8,13 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, pipeline, synth
-from .complete import DegradationKnobs
-from .detect import DetectorKnobs
 from .geom import box_iou_3d, volumetric_iou
 
 CONFIG_VERSION = 1
@@ -111,21 +109,10 @@ class ExperimentConfig:
             return cls.from_dict(json.load(f))
 
     def pipeline_config(self, sequence_id: int) -> pipeline.PipelineConfig:
-        return pipeline.PipelineConfig(
-            detector=DetectorKnobs(
-                objectness_flip_rate=self.detector_flip_rate,
-                center_jitter=self.detector_center_jitter,
-                extent_jitter=self.detector_extent_jitter,
-            ),
-            completion=DegradationKnobs(
-                completion_fraction=self.completion_fraction,
-                occupancy_flip_rate=self.occupancy_flip_rate,
-                noc_noise=self.noc_noise,
-            ),
-            enable_rescue=not self.no_correspondence_matching,
-            seed=self.seed,
-            sequence_id=sequence_id,
-        )
+        shared = {f.name: getattr(self, f.name)
+                  for f in fields(pipeline.PipelineConfig)
+                  if f.name != "sequence_id"}
+        return pipeline.PipelineConfig(sequence_id=sequence_id, **shared)
 
 
 def _is_number(v, kind) -> bool:
@@ -237,32 +224,22 @@ def gt_to_dict(gt_frames) -> dict:
     }
 
 
-# The fields make_script and build_sequence_data read: configs that agree on
-# them share one rendered and fused sequence.
-SETUP_FIELDS = ("seed", "n_frames", "n_objects", "motion", "jump_period",
-                "image_width", "image_height", "voxel_size")
+def track_sequence(config: ExperimentConfig, fractions: list,
+                   sequence_id: int) -> tuple:
+    """Generate one sequence once, then track and score it at each
+    completion fraction: (sequence id, ground-truth dump,
+    [(tracklet dump, scores) per fraction]).
 
-
-def track_sequence(configs: list, sequence_id: int) -> tuple:
-    """Generate one sequence once, then track and score it under each config:
-    (sequence id, ground-truth dump, [(tracklet dump, scores) per config]).
-
-    The configs must agree on SETUP_FIELDS.  Each result is scored and
-    dropped before the next config runs.
+    Each result is scored and dropped before the next fraction runs.
     """
-    first = configs[0]
-    for config in configs[1:]:
-        differ = [name for name in SETUP_FIELDS
-                  if getattr(config, name) != getattr(first, name)]
-        if differ:
-            raise ValueError(f"configs tracked over one set-up must agree on "
-                             f"{', '.join(differ)}")
-    data = pipeline.build_sequence_data(make_script(first, sequence_id),
-                                        first.voxel_size)
+    data = pipeline.build_sequence_data(make_script(config, sequence_id),
+                                        config.voxel_size)
     runs = []
-    for config in configs:
-        result = pipeline.run_sequence(data, config.pipeline_config(sequence_id))
-        runs.append((result.dump, score_sequence(result, config)))
+    for f in fractions:
+        tracked = replace(config, completion_fraction=f)
+        result = pipeline.run_sequence(data,
+                                       tracked.pipeline_config(sequence_id))
+        runs.append((result.dump, score_sequence(result, tracked)))
         del result
     return sequence_id, gt_to_dict(data.gt_frames), runs
 
@@ -291,28 +268,32 @@ def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
     }
 
 
-def _run(configs: list) -> list:
-    """Track every sequence once under each config: one summary per config.
+def _run(config: ExperimentConfig, fractions: list, out_dirs: list) -> list:
+    """Track every sequence once at each completion fraction: one summary
+    per fraction, whose files go into the matching entry of out_dirs.
 
-    All configs are validated before the first sequence is built, and
-    `workers` processes share out the sequences.  Each config's files are
-    written into its output_dir after every sequence has been tracked.
+    Every fraction's config is validated before the first sequence is built.
+    With `workers` > 1, a pool of min(workers, n_sequences) processes shares
+    out the sequences.  Files are written after every sequence has been
+    tracked.
     """
-    for config in configs:
-        config.validate()
-    first = configs[0]
-    ids = range(first.n_sequences)
-    if first.workers > 1:
-        with ProcessPoolExecutor(max_workers=first.workers) as pool:
-            results = list(pool.map(track_sequence, repeat(configs), ids))
+    configs = [replace(config, completion_fraction=f, output_dir=d)
+               for f, d in zip(fractions, out_dirs)]
+    for c in configs:
+        c.validate()
+    ids = range(config.n_sequences)
+    if config.workers > 1:
+        with ProcessPoolExecutor(
+                max_workers=min(config.workers, len(ids))) as pool:
+            results = list(pool.map(track_sequence, repeat(config),
+                                    repeat(fractions), ids))
     else:
-        results = [track_sequence(configs, i) for i in ids]
+        results = [track_sequence(config, fractions, i) for i in ids]
 
     summaries = []
-    for k, config in enumerate(configs):
-        summary = summarize(config, {sid: runs[k][1]
-                                     for sid, _, runs in results})
-        out = Path(config.output_dir)
+    for k, c in enumerate(configs):
+        summary = summarize(c, {sid: runs[k][1] for sid, _, runs in results})
+        out = Path(c.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         for sid, gt, runs in results:
             dump, scores = runs[k]
@@ -333,7 +314,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     scores (scores_seqNNNN.json), then the summary (metrics.json) and its flat
     CSV (metrics.csv).
     """
-    return _run([config])[0]
+    return _run(config, [config.completion_fraction], [config.output_dir])[0]
 
 
 CSV_FIELDS = ["completion_fraction", "no_correspondence_matching",
@@ -379,15 +360,13 @@ def sweep_completion(config: ExperimentConfig,
     if not fractions:
         raise ValueError("no completion fractions to sweep")
     by_dir = {}
-    configs = []
     for f in fractions:
         name = f"f_{f:g}"
         if name in by_dir:
             raise ValueError(f"completion fractions {by_dir[name]} and {f} "
                              f"both write to {name}/")
         by_dir[name] = f
-        configs.append(replace(config, completion_fraction=float(f),
-                               output_dir=str(Path(config.output_dir) / name)))
-    summaries = _run(configs)
+    summaries = _run(config, [float(f) for f in by_dir.values()],
+                     [str(Path(config.output_dir) / name) for name in by_dir])
     write_csv(Path(config.output_dir) / "sweep.csv", summaries)
     return summaries

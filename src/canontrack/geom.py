@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ROT_ATOL = 1e-9
-
 
 def _as_vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64).reshape(3)
@@ -56,10 +54,6 @@ class SimilarityTransform:
             "translation": self.translation.tolist(),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SimilarityTransform":
-        return cls(d["scale"], np.array(d["rotation"]), np.array(d["translation"]))
-
 
 def yaw_rotation(angle_rad: float) -> np.ndarray:
     """Rotation about the +z (up) axis."""
@@ -102,10 +96,6 @@ class Box3:
 
     def to_dict(self) -> dict:
         return {"center": self.center.tolist(), "extents": self.extents.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box3":
-        return cls(np.array(d["center"]), np.array(d["extents"]))
 
 
 def box_iou_3d(a: Box3, b: Box3) -> float:

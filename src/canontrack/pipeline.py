@@ -3,7 +3,8 @@ fields -> proposals -> completion/correspondences -> pose -> tracking."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,13 +18,19 @@ GT_MATCH_IOU = 0.05  # proposal -> ground-truth pairing for the oracles
 
 @dataclass
 class PipelineConfig:
-    detector: detect.DetectorKnobs = field(default_factory=detect.DetectorKnobs)
-    completion: complete.DegradationKnobs = field(
-        default_factory=complete.DegradationKnobs)
-    enable_rescue: bool = True
+    """What tracking one sequence reads: besides sequence_id, each field is
+    the ExperimentConfig field of the same name (see its comments)."""
+
     seed: int = 0
     sequence_id: int = 0
-    min_cluster_size: int = 50
+    completion_fraction: float = 1.0
+    occupancy_flip_rate: float = 0.0
+    noc_noise: float = 0.0
+    detector_flip_rate: float = 0.0
+    detector_center_jitter: float = 0.0
+    detector_extent_jitter: float = 0.0
+    no_correspondence_matching: bool = False
+    min_cluster_size: ClassVar[int] = detect.MIN_CLUSTER_SIZE
 
 
 @dataclass
@@ -67,7 +74,7 @@ def build_sequence_data(script: synth.SceneScript,
     The TSDF truncation, which is also the ground truth's visibility band,
     is three voxels.  The pipeline uses a full-voxel surface band (wider than
     the extract_surface default) so small objects keep enough surface voxels
-    to clear the 50-member cluster filter.
+    to clear the detector's MIN_CLUSTER_SIZE filter.
     """
     truncation = 3.0 * voxel_size
     gt_frames = []
@@ -102,7 +109,7 @@ def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
         config.seed, config.sequence_id, frame_idx, gt_obj.object_id)
     out = complete.oracle_complete(
         proposal.box, gt_obj.template, gt_obj.pose,
-        gt_obj.visible_voxels, config.completion, rng)
+        gt_obj.visible_voxels, config, rng)
     pred_pose = None
     if len(out.noc) >= 3:
         try:
@@ -121,10 +128,9 @@ def process_frame(data: SequenceData, frame_idx: int,
     field_rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, config.sequence_id, frame_idx, 1)))
     fields, targets = detect.make_oracle_fields(
-        surface, gt.objects, synth.NUM_CLASSES, config.detector, field_rng)
+        surface, gt.objects, synth.NUM_CLASSES, config, field_rng)
     losses = detect.detection_losses(fields, targets)
-    proposals = detect.mean_shift_proposals(
-        fields, min_members=config.min_cluster_size)
+    proposals = detect.mean_shift_proposals(fields)
 
     tracker_dets = []
     records = []
@@ -161,7 +167,7 @@ def process_frame(data: SequenceData, frame_idx: int,
 
 
 def run_sequence(data: SequenceData, config: PipelineConfig) -> SequenceResult:
-    tracker = track.Tracker(enable_rescue=config.enable_rescue)
+    tracker = track.Tracker(enable_rescue=not config.no_correspondence_matching)
     all_records = []
     all_losses = []
     for f in range(data.script.frame_count):

@@ -273,29 +273,6 @@ class SceneScript:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SceneScript":
-        if d.get("version") != 1:
-            raise ValueError(f"unsupported scene script version {d.get('version')}")
-        templates = [
-            make_template(o["kind"], o["physical_scale"], o["id"])
-            for o in d["objects"]
-        ]
-        n_frames = len(d["camera_poses"])
-        object_poses = [
-            [SimilarityTransform.from_dict(o["poses"][f]) for o in d["objects"]]
-            for f in range(n_frames)
-        ]
-        return cls(
-            templates=templates,
-            object_poses=object_poses,
-            camera_poses=[SimilarityTransform.from_dict(p) for p in d["camera_poses"]],
-            intrinsics=CameraIntrinsics.from_dict(d["intrinsics"]),
-            scene_bounds=Box3.from_dict(d["scene_bounds"]),
-            include_floor=d.get("include_floor", True),
-            floor_half_extent=d.get("floor_half_extent", 3.0),
-        )
-
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> SimilarityTransform:
     """Camera-to-world pose: camera z forward, x right, y down."""

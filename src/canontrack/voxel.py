@@ -73,10 +73,6 @@ class CameraIntrinsics:
             "height": self.height,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(d["fx"], d["fy"], d["cx"], d["cy"], d["width"], d["height"])
-
 
 @dataclass
 class DenseTsdfGrid:

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from canontrack import synth
-from canontrack.complete import (DegradationKnobs, detection_rng,
-                                 oracle_complete)
+from canontrack.complete import detection_rng, oracle_complete
 from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
+from canontrack.pipeline import PipelineConfig
 from canontrack.pose import solve_pose
 from canontrack.voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
 from noc_reference import NocGrid, ground_truth_noc
@@ -33,14 +33,12 @@ def reference_oracle_complete(
     template,
     pose: SimilarityTransform,
     visible_voxels: np.ndarray,
-    knobs: DegradationKnobs = DegradationKnobs(),
-    rng: np.random.Generator | None = None,
+    config: PipelineConfig,
+    rng: np.random.Generator,
 ):
     """The full-grid oracle: every crop voxel is transformed and looked up.
     Returns the occupancy, the NOC grid, the (R, R, R, 3) world centers and
     the full occupancy."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     cube = detection_box.cubified()
     bits = template.canonical_occupancy.bits
     shape = (OBJECT_RESOLUTION,) * 3
@@ -56,7 +54,7 @@ def reference_oracle_complete(
         raise ValueError("detection box does not overlap the object")
     visible = visible & full
 
-    f = float(knobs.completion_fraction)
+    f = float(config.completion_fraction)
     if f >= 1.0:
         support = full
     elif f <= 0.0:
@@ -66,13 +64,13 @@ def reference_oracle_complete(
         support = visible | (hidden & (rng.random(len(canon)) < f))
 
     occ = support.copy()
-    if knobs.occupancy_flip_rate > 0:
-        flips = rng.random(len(canon)) < knobs.occupancy_flip_rate
+    if config.occupancy_flip_rate > 0:
+        flips = rng.random(len(canon)) < config.occupancy_flip_rate
         occ = occ ^ flips
 
     coords = np.clip(canon, 0.0, 1.0)
-    if knobs.noc_noise > 0:
-        coords = np.clip(coords + rng.normal(0.0, knobs.noc_noise, coords.shape),
+    if config.noc_noise > 0:
+        coords = np.clip(coords + rng.normal(0.0, config.noc_noise, coords.shape),
                          0.0, 1.0)
     valid = occ & full  # NOC only where target geometry exists and is kept
     coords[~valid] = 0.0
@@ -83,6 +81,13 @@ def reference_oracle_complete(
         centers=centers,
         full=full.reshape(shape),
     )
+
+
+CLEAN = PipelineConfig()  # every degradation knob off
+
+
+def gen(seed: int = 0) -> np.random.Generator:
+    return np.random.default_rng(seed)
 
 
 def posed_object(kind="l_shape", yaw=0.8, seed=0):
@@ -98,7 +103,7 @@ def posed_object(kind="l_shape", yaw=0.8, seed=0):
 class TestOracleComplete:
     def test_full_completion_matches_ground_truth(self):
         template, pose, box, visible = posed_object()
-        out = oracle_complete(box, template, pose, visible)
+        out = oracle_complete(box, template, pose, visible, CLEAN, gen())
         gt_noc = ground_truth_noc(template, pose, box)
         assert np.array_equal(out.occupancy, gt_noc.valid)
         assert np.array_equal(out.full, gt_noc.valid)
@@ -107,8 +112,8 @@ class TestOracleComplete:
     def test_zero_completion_is_visible_only(self):
         template, pose, box, visible = posed_object()
         out = oracle_complete(box, template, pose, visible,
-                              DegradationKnobs(completion_fraction=0.0))
-        full = oracle_complete(box, template, pose, visible)
+                              PipelineConfig(completion_fraction=0.0), gen())
+        full = oracle_complete(box, template, pose, visible, CLEAN, gen())
         occ = out.occupancy
         assert occ.sum() < full.occupancy.sum()
         # every kept voxel maps into a visible template voxel
@@ -119,15 +124,15 @@ class TestOracleComplete:
 
     def test_intermediate_fraction_binomial(self):
         template, pose, box, visible = posed_object()
-        full = oracle_complete(box, template, pose, visible).occupancy
+        full = oracle_complete(box, template, pose, visible, CLEAN,
+                               gen()).occupancy
         vis_only = oracle_complete(
             box, template, pose, visible,
-            DegradationKnobs(completion_fraction=0.0)).occupancy
+            PipelineConfig(completion_fraction=0.0), gen()).occupancy
         hidden = int(full.sum() - vis_only.sum())
         f = 0.5
         out = oracle_complete(box, template, pose, visible,
-                              DegradationKnobs(completion_fraction=f),
-                              np.random.default_rng(0))
+                              PipelineConfig(completion_fraction=f), gen(0))
         included = int(out.occupancy.sum() - vis_only.sum())
         sigma = np.sqrt(hidden * f * (1 - f))
         assert abs(included - f * hidden) < 4 * sigma
@@ -136,13 +141,14 @@ class TestOracleComplete:
 
     def test_completion_iou_monotone_in_fraction(self):
         template, pose, box, visible = posed_object()
-        gt = oracle_complete(box, template, pose, visible).occupancy
+        gt = oracle_complete(box, template, pose, visible, CLEAN,
+                             gen()).occupancy
         fractions = [0.0, 0.25, 0.5, 0.75, 1.0]
         ious = []
         for f in fractions:
             out = oracle_complete(box, template, pose, visible,
-                                  DegradationKnobs(completion_fraction=f),
-                                  np.random.default_rng(7))
+                                  PipelineConfig(completion_fraction=f),
+                                  gen(7))
             ious.append(volumetric_iou(out.occupancy, gt))
         rho = spearmanr(fractions, ious).statistic
         assert rho > 0.999
@@ -150,11 +156,12 @@ class TestOracleComplete:
 
     def test_occupancy_flips(self):
         template, pose, box, visible = posed_object()
-        clean = oracle_complete(box, template, pose, visible).occupancy
+        clean = oracle_complete(box, template, pose, visible, CLEAN,
+                                gen()).occupancy
         rate = 0.1
         out = oracle_complete(box, template, pose, visible,
-                              DegradationKnobs(occupancy_flip_rate=rate),
-                              np.random.default_rng(0))
+                              PipelineConfig(occupancy_flip_rate=rate),
+                              gen(0))
         n = clean.size
         flipped = int((out.occupancy ^ clean).sum())
         sigma = np.sqrt(n * rate * (1 - rate))
@@ -162,10 +169,9 @@ class TestOracleComplete:
 
     def test_noc_noise_bounded_and_centered(self):
         template, pose, box, visible = posed_object()
-        clean = oracle_complete(box, template, pose, visible)
+        clean = oracle_complete(box, template, pose, visible, CLEAN, gen())
         noisy = oracle_complete(box, template, pose, visible,
-                                DegradationKnobs(noc_noise=0.02),
-                                np.random.default_rng(0))
+                                PipelineConfig(noc_noise=0.02), gen(0))
         delta = noisy.noc - clean.noc
         assert noisy.noc.min() >= 0.0
         assert noisy.noc.max() <= 1.0
@@ -174,7 +180,7 @@ class TestOracleComplete:
 
     def test_pose_recovery_from_completion(self):
         template, pose, box, visible = posed_object(yaw=1.3)
-        out = oracle_complete(box, template, pose, visible)
+        out = oracle_complete(box, template, pose, visible, CLEAN, gen())
         est = solve_pose(out.noc, out.centers)
         assert abs(est.scale - pose.scale) < 1e-9
         assert np.abs(est.rotation - pose.rotation).max() < 1e-9
@@ -191,7 +197,7 @@ class TestOracleComplete:
         template, pose, _, visible = posed_object()
         far = Box3([50.0, 50.0, 50.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            oracle_complete(far, template, pose, visible)
+            oracle_complete(far, template, pose, visible, CLEAN, gen())
 
     def test_transforms_only_rows_that_can_hold_the_object(self, monkeypatch):
         template, pose, box, visible = posed_object()
@@ -204,7 +210,7 @@ class TestOracleComplete:
             return apply(self, points)
 
         monkeypatch.setattr(SimilarityTransform, "apply", counting_apply)
-        out = oracle_complete(loose, template, pose, visible)
+        out = oracle_complete(loose, template, pose, visible, CLEAN, gen())
         assert out.full.any()
         assert 0 < max(rows) < OBJECT_RESOLUTION ** 3
 
@@ -212,8 +218,8 @@ class TestOracleComplete:
 @st.composite
 def completion_cases(draw):
     """A posed template, a detection box around it (shifted and rescaled,
-    so that it may only partly overlap the object), visible voxels, knobs and
-    a seed."""
+    so that it may only partly overlap the object), visible voxels, a config
+    of degradation knobs and a seed."""
     kind = draw(st.sampled_from(sorted(synth.TEMPLATE_KINDS)))
     size = [draw(st.floats(0.3, 0.9)) for _ in range(3)]
     template = synth.make_template(kind, size)
@@ -230,18 +236,21 @@ def completion_cases(draw):
     surf = template.surface_voxels
     visible = surf[surf[:, draw(st.integers(0, 2))]
                    >= draw(st.integers(0, OBJECT_RESOLUTION))]
-    knobs = DegradationKnobs(
+    config = PipelineConfig(
         completion_fraction=draw(st.sampled_from([0.0, 0.4, 1.0])),
         occupancy_flip_rate=draw(st.sampled_from([0.0, 0.05])),
         noc_noise=draw(st.sampled_from([0.0, 0.02])))
-    return box, template, pose, visible, knobs, draw(st.integers(0, 2 ** 32 - 1))
+    return (box, template, pose, visible, config,
+            draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def partial_overlap_case():
     """A table whose box is shifted by half its size, with every knob on."""
     template, pose, box, visible = posed_object(kind="table", yaw=0.4)
     part = Box3(box.center + 0.5 * box.extents, box.extents)
-    return part, template, pose, visible, DegradationKnobs(0.5, 0.03, 0.01), 3
+    config = PipelineConfig(completion_fraction=0.5, occupancy_flip_rate=0.03,
+                            noc_noise=0.01)
+    return part, template, pose, visible, config, 3
 
 
 class TestAgainstFullGridReference:
@@ -249,17 +258,16 @@ class TestAgainstFullGridReference:
     @example(partial_overlap_case())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_grid_oracle(self, case):
-        box, template, pose, visible, knobs, seed = case
+        box, template, pose, visible, config, seed = case
         try:
-            ref = reference_oracle_complete(box, template, pose, visible, knobs,
-                                            np.random.default_rng(seed))
+            ref = reference_oracle_complete(box, template, pose, visible,
+                                            config, gen(seed))
         except ValueError:
             with pytest.raises(ValueError, match="does not overlap"):
-                oracle_complete(box, template, pose, visible, knobs,
-                                np.random.default_rng(seed))
+                oracle_complete(box, template, pose, visible, config,
+                                gen(seed))
             return
-        out = oracle_complete(box, template, pose, visible, knobs,
-                              np.random.default_rng(seed))
+        out = oracle_complete(box, template, pose, visible, config, gen(seed))
         valid = ref.noc.valid
         assert np.array_equal(out.occupancy, ref.occupancy)
         assert np.array_equal(out.full, ref.full)

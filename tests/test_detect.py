@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from canontrack import detect, synth
-from canontrack.detect import (DetectorKnobs, PredictionFields, Proposal,
+from canontrack.detect import (PredictionFields, Proposal,
                                binary_cross_entropy, detection_losses,
                                make_oracle_fields, mean_shift_proposals,
                                smooth_l1)
+from canontrack.pipeline import PipelineConfig
 from canontrack.voxel import SparseSurfaceGrid
+
+CLEAN = PipelineConfig()  # every degradation knob off
 
 
 class TestLossPrimitives:
@@ -313,8 +316,9 @@ class TestOracleFields:
 
     def test_noise_free_targets(self):
         surface, gt = self.scene_surface()
-        fields, targets = make_oracle_fields(surface, gt.objects,
-                                             synth.NUM_CLASSES)
+        fields, targets = make_oracle_fields(
+            surface, gt.objects, synth.NUM_CLASSES, CLEAN,
+            np.random.default_rng(0))
         # oracle without knobs: predictions equal targets
         assert np.array_equal(fields.objectness, targets.objectness)
         assert np.array_equal(fields.center_offset, targets.center_offset)
@@ -324,8 +328,9 @@ class TestOracleFields:
 
     def test_owned_voxels_vote_for_owner_center(self):
         surface, gt = self.scene_surface()
-        fields, targets = make_oracle_fields(surface, gt.objects,
-                                             synth.NUM_CLASSES)
+        fields, targets = make_oracle_fields(
+            surface, gt.objects, synth.NUM_CLASSES, CLEAN,
+            np.random.default_rng(0))
         for oi, obj in enumerate(gt.objects):
             mine = targets.owner == oi
             if not mine.any():
@@ -337,7 +342,8 @@ class TestOracleFields:
 
     def test_proposals_recover_objects(self):
         surface, gt = self.scene_surface()
-        fields, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES)
+        fields, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
+                                       CLEAN, np.random.default_rng(0))
         props = mean_shift_proposals(fields)
         assert len(props) == len(gt.objects)
         from canontrack.geom import box_iou_3d
@@ -347,12 +353,13 @@ class TestOracleFields:
 
     def test_knobs_are_reproducible(self):
         surface, gt = self.scene_surface()
-        knobs = DetectorKnobs(objectness_flip_rate=0.1, center_jitter=0.5,
-                              extent_jitter=0.5)
+        config = PipelineConfig(detector_flip_rate=0.1,
+                                detector_center_jitter=0.5,
+                                detector_extent_jitter=0.5)
         a, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                  knobs, np.random.default_rng(42))
+                                  config, np.random.default_rng(42))
         b, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                  knobs, np.random.default_rng(42))
+                                  config, np.random.default_rng(42))
         assert np.array_equal(a.objectness, b.objectness)
         assert np.array_equal(a.center_offset, b.center_offset)
         assert np.array_equal(a.class_scores, b.class_scores)
@@ -360,10 +367,11 @@ class TestOracleFields:
     def test_flip_rate_statistics(self):
         surface, gt = self.scene_surface()
         _, targets = make_oracle_fields(surface, gt.objects,
-                                        synth.NUM_CLASSES)
-        knobs = DetectorKnobs(objectness_flip_rate=0.25)
+                                        synth.NUM_CLASSES, CLEAN,
+                                        np.random.default_rng(0))
+        config = PipelineConfig(detector_flip_rate=0.25)
         fields, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                       knobs, np.random.default_rng(0))
+                                       config, np.random.default_rng(0))
         n = len(fields.objectness)
         flipped = int(np.sum(fields.objectness != targets.objectness))
         # binomial(n, 0.25) within 4 sigma

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from canontrack import experiment, pipeline, synth
+from canontrack import experiment, pipeline, synth, track
 
 
 def noisy_config(**kwargs):
@@ -125,9 +125,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="at most 3"):
             experiment.ExperimentConfig(n_objects=4).validate()
 
-    def test_no_correspondence_matching_disables_rescue(self):
-        cfg = small_config(no_correspondence_matching=True)
-        assert not cfg.pipeline_config(0).enable_rescue
+    def test_no_correspondence_matching_disables_rescue(self, small_run,
+                                                         monkeypatch):
+        _, data, _ = small_run
+        built = []
+
+        class RecordingTracker(track.Tracker):
+            def __init__(self, enable_rescue):
+                built.append(enable_rescue)
+                super().__init__(enable_rescue)
+
+        monkeypatch.setattr(track, "Tracker", RecordingTracker)
+        for flag in (False, True):
+            cfg = small_config(no_correspondence_matching=flag)
+            pipeline.run_sequence(data, cfg.pipeline_config(0))
+        assert built == [True, False]
+
+    def test_pipeline_config_takes_experiment_names(self):
+        cfg = small_config(**self.NON_DEFAULT)
+        pc = cfg.pipeline_config(3)
+        assert pc.sequence_id == 3
+        for field in dataclasses.fields(pc):
+            if field.name != "sequence_id":
+                assert getattr(pc, field.name) == getattr(cfg, field.name)
 
     # One valid value, other than the probe config's, for every field.
     NON_DEFAULT = dict(
@@ -227,6 +247,20 @@ class TestRunExperiment:
             assert s["config"].pop("output_dir") == str(tmp_path / name)
         assert json.dumps(one, sort_keys=True) == json.dumps(two, sort_keys=True)
 
+    def test_pool_has_no_more_workers_than_sequences(self, tmp_path,
+                                                      monkeypatch):
+        entered = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __enter__(self):
+                entered.append(self._max_workers)
+                return super().__enter__()
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        experiment.run_experiment(small_config(
+            n_sequences=2, n_frames=2, workers=4, output_dir=str(tmp_path)))
+        assert entered == [2]
+
     def test_sequence_in_batch_equals_sequence_alone(self, tmp_path):
         cfg = noisy_config(output_dir=str(tmp_path))
         batch = experiment.run_experiment(cfg)
@@ -234,7 +268,8 @@ class TestRunExperiment:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             sid, _, [(dump, scores)] = pool.submit(
-                experiment.track_sequence, [cfg], 1).result(timeout=300)
+                experiment.track_sequence, cfg, [cfg.completion_fraction],
+                1).result(timeout=300)
         assert sid == 1
         written = json.loads((tmp_path / "tracklets_seq0001.json").read_text())
         assert json.loads(json.dumps(dump)) == written
@@ -266,12 +301,6 @@ class TestSweepCompletion:
         experiment.write_csv(out / "sweep.csv", alone)
         assert summaries == alone
         assert swept == written_files(out)
-
-    def test_configs_of_one_set_up_must_agree_on_it(self):
-        cfg = small_config()
-        with pytest.raises(ValueError, match="n_frames, voxel_size"):
-            experiment.track_sequence(
-                [cfg, replace(cfg, n_frames=3, voxel_size=0.04)], 0)
 
     def test_renders_each_sequence_once(self, monkeypatch, tmp_path):
         builds = []
