@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geom import Box3, SimilarityTransform
-from .voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
+from .voxel import OBJECT_RESOLUTION, nearest_voxel
 
 if TYPE_CHECKING:
     from .pipeline import PipelineConfig
@@ -66,12 +66,13 @@ def _lookup_codes(bits: np.ndarray, visible_voxels: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _candidate_rows(cube: Box3, inverse: SimilarityTransform,
-                    res: int) -> np.ndarray:
+def _candidate_rows(cube: Box3, inverse: SimilarityTransform, res: int,
+                    lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Ascending flat indices of the crop voxels whose center may map into
-    [0, 1)^3 under `inverse`: one k-interval per (i, j) line, widened by a
-    voxel and by CANDIDATE_SLACK.  Every voxel whose center lands in the
-    unit cube is among them."""
+    the canonical box [lo, hi) under `inverse`, and their count on each
+    (i, j) line: one k-interval per line, widened by a voxel and by
+    CANDIDATE_SLACK.  Every voxel whose center lands in the box is among
+    them."""
     # canonical step per crop index along each axis (columns), and the
     # canonical center of each line's k = 0 voxel
     step = inverse.scale * inverse.rotation * (cube.extents / res)
@@ -79,24 +80,40 @@ def _candidate_rows(cube: Box3, inverse: SimilarityTransform,
     n = np.arange(res)
     base = (first + n[:, None, None] * step[:, 0]
             + n[None, :, None] * step[:, 1])
-    lo = np.full((res, res), -np.inf)
-    hi = np.full((res, res), np.inf)
+    k_lo = np.full((res, res), -np.inf)
+    k_hi = np.full((res, res), np.inf)
     for d in range(3):
         if step[d, 2] == 0.0:
-            off = ((base[..., d] < -CANDIDATE_SLACK)
-                   | (base[..., d] > 1.0 + CANDIDATE_SLACK))
-            hi[off] = -np.inf
+            off = ((base[..., d] < lo[d] - CANDIDATE_SLACK)
+                   | (base[..., d] > hi[d] + CANDIDATE_SLACK))
+            k_hi[off] = -np.inf
             continue
-        k0 = (-CANDIDATE_SLACK - base[..., d]) / step[d, 2]
-        k1 = (1.0 + CANDIDATE_SLACK - base[..., d]) / step[d, 2]
-        lo = np.maximum(lo, np.minimum(k0, k1))
-        hi = np.minimum(hi, np.maximum(k0, k1))
-    k_first = np.clip(np.ceil(lo) - 1, 0, res).astype(np.int64).ravel()
-    k_last = np.clip(np.floor(hi) + 1, -1, res - 1).astype(np.int64).ravel()
+        k0 = (lo[d] - CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        k1 = (hi[d] + CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        k_lo = np.maximum(k_lo, np.minimum(k0, k1))
+        k_hi = np.minimum(k_hi, np.maximum(k0, k1))
+    k_first = np.clip(np.ceil(k_lo) - 1, 0, res).astype(np.int64).ravel()
+    k_last = np.clip(np.floor(k_hi) + 1, -1, res - 1).astype(np.int64).ravel()
     counts = np.maximum(k_last - k_first + 1, 0)
     starts = np.arange(res * res) * res + k_first
     ends = np.cumsum(counts)
-    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+    rows = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+    return rows, counts
+
+
+def _crop_centers(cube: Box3, rows: np.ndarray, counts: np.ndarray,
+                  res: int) -> np.ndarray:
+    """(M, 3) world-space centers of the crop voxels at flat indices `rows`,
+    `counts` of them on each (i, j) line: min_corner + ((index + 0.5) / res)
+    * extents, taken per axis from a table of the axis's `res` centers."""
+    axes = (cube.min_corner[:, None]
+            + ((np.arange(res) + 0.5) / res) * cube.extents[:, None])
+    line_starts = np.arange(0, res ** 3, res)
+    centers = np.empty((len(rows), 3))
+    centers[:, 0] = np.repeat(np.repeat(axes[0], res), counts)
+    centers[:, 1] = np.repeat(np.tile(axes[1], res), counts)
+    centers[:, 2] = axes[2].take(rows - np.repeat(line_starts, counts))
+    return centers
 
 
 def oracle_complete(
@@ -115,23 +132,32 @@ def oracle_complete(
     occupancy_flip_rate flips crop voxels, and NOC values are the
     ground-truth canonical coordinates with truncated Gaussian noise of sigma
     noc_noise (canonical units).  Only crop voxels that can map into the
-    template's cube are transformed and looked up; random draws still cover
-    the whole crop.
+    template's occupied box (`canonical_bbox`) are transformed and looked up,
+    since only there can a voxel be occupied or visible; random draws still
+    cover the whole crop.  Raises ValueError when no crop voxel maps into
+    the template's unit cube.
     """
     cube = detection_box.cubified()
-    shape = (OBJECT_RESOLUTION,) * 3
-    n = OBJECT_RESOLUTION ** 3
+    res = OBJECT_RESOLUTION
+    shape = (res,) * 3
+    n = res ** 3
     inverse = pose.inverse()
 
-    rows = _candidate_rows(cube, inverse, OBJECT_RESOLUTION)
-    centers = (cube.min_corner
-               + lattice_centers(shape).reshape(-1, 3).take(rows, axis=0)
-               / OBJECT_RESOLUTION * cube.extents)
+    lookup = _lookup_codes(template.canonical_occupancy.bits, visible_voxels)
+    rows, counts = _candidate_rows(cube, inverse, res,
+                                   *template.canonical_bbox)
+    centers = _crop_centers(cube, rows, counts, res)
     canon = inverse.apply(centers)
-    codes = nearest_voxel(
-        _lookup_codes(template.canonical_occupancy.bits, visible_voxels), canon)
+    codes = nearest_voxel(lookup, canon)
     if not codes.any():
-        raise ValueError("detection box does not overlap the object")
+        # No row lands in the template's cube, so none is occupied; the crop
+        # may still reach the cube outside the occupied box.
+        cube_rows, cube_counts = _candidate_rows(cube, inverse, res,
+                                                 np.zeros(3), np.ones(3))
+        in_cube = nearest_voxel(lookup, inverse.apply(
+            _crop_centers(cube, cube_rows, cube_counts, res)))
+        if not in_cube.any():
+            raise ValueError("detection box does not overlap the object")
     full = (codes & 1).astype(bool)
     visible = (codes & 3) == 3
 
@@ -147,16 +173,20 @@ def oracle_complete(
     # Outside the candidate rows support is empty, so occupancy is the flips.
     if config.occupancy_flip_rate > 0:
         occupancy = rng.random(n) < config.occupancy_flip_rate
+        kept = occupancy[rows] ^ support
     else:
         occupancy = np.zeros(n, dtype=bool)
-    occupancy[rows] ^= support
+        kept = support
+    occupancy[rows] = kept
 
     # NOC only where target geometry exists and is kept
-    keep = np.flatnonzero(occupancy[rows] & full)
-    coords = np.clip(canon.take(keep, axis=0), 0.0, 1.0)
+    keep = np.flatnonzero(kept & full)
+    coords = canon.take(keep, axis=0)
+    np.clip(coords, 0.0, 1.0, out=coords)
     if config.noc_noise > 0:
         noise = rng.normal(0.0, config.noc_noise, (n, 3))
-        coords = np.clip(coords + noise.take(rows[keep], axis=0), 0.0, 1.0)
+        coords += noise.take(rows[keep], axis=0)
+        np.clip(coords, 0.0, 1.0, out=coords)
 
     full_grid = np.zeros(n, dtype=bool)
     full_grid[rows] = full

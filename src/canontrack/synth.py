@@ -469,15 +469,20 @@ def visible_overlap_fraction_low(gt_frames, voxel_size: float = 0.05,
     for prev, cur in zip(gt_frames, gt_frames[1:]):
         frame_low = False
         for po, co in zip(prev.objects, cur.objects):
-            sets = []
+            cells = []
             for o in (po, co):
                 res = o.template.canonical_occupancy.dims[0]
                 w = o.pose.apply((o.visible_voxels + 0.5) / res)
-                q = np.unique(np.floor(w / voxel_size).astype(np.int64), axis=0)
-                sets.append({tuple(r) for r in q})
-            a, b = sets
-            union = len(a | b)
-            iou = len(a & b) / union if union else 0.0
+                cells.append(np.floor(w / voxel_size).astype(np.int64))
+            # one integer key per lattice cell over the pair's joint span
+            both = np.concatenate(cells)
+            lo = both.min(axis=0, initial=0)  # initial: a pair may show nothing
+            dims = both.max(axis=0, initial=0) - lo + 1
+            a, b = (np.unique(np.ravel_multi_index((c - lo).T, dims))
+                    for c in cells)
+            common = len(np.intersect1d(a, b, assume_unique=True))
+            union = len(a) + len(b) - common
+            iou = common / union if union else 0.0
             if iou < iou_threshold:
                 frame_low = True
         total += 1

@@ -89,13 +89,15 @@ def associate_frame(tracklets: list, detections: list) -> AssignmentResult:
 
 
 def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray) -> None:
-    """Running mean: avg <- w * avg + (1 - w) * new, with w the
+    """Running mean, in place: avg <- w * avg + (1 - w) * new, with w the
     RUNNING_AVERAGE_OLD_WEIGHT."""
     w = RUNNING_AVERAGE_OLD_WEIGHT
-    new_canonical = np.asarray(new_canonical, dtype=np.float64)
+    new_canonical = np.asarray(new_canonical)
     if new_canonical.shape != tracklet.canonical_avg.shape:
         raise ValueError("canonical grid dims mismatch")
-    tracklet.canonical_avg = w * tracklet.canonical_avg + (1.0 - w) * new_canonical
+    avg = tracklet.canonical_avg
+    avg *= w
+    avg += (1.0 - w) * new_canonical
 
 
 class Tracker:
@@ -115,7 +117,7 @@ class Tracker:
         t = Tracklet(
             id=self._next_id,
             class_id=det.class_id,
-            canonical_avg=np.asarray(det.canonical, dtype=np.float64).copy(),
+            canonical_avg=np.array(det.canonical, dtype=np.float64),
             history=[(frame, det.box, det.pose)],
         )
         self._next_id += 1

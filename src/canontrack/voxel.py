@@ -7,7 +7,6 @@ surface), negative behind it.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +17,6 @@ DEFAULT_VOXEL_SIZE = 0.05
 # Side of every object-space grid: template occupancy, completion crop and
 # canonical reconstruction.  The three must agree for their IoUs to be defined.
 OBJECT_RESOLUTION = 64
-
-
-@functools.lru_cache(maxsize=4)
-def lattice_centers(dims: tuple) -> np.ndarray:
-    """Voxel-center offsets (index + 0.5) of a grid, shape dims + (3,).
-
-    The result is cached and read-only; callers scale and shift it.
-    """
-    idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
-                   axis=-1)
-    centers = idx + 0.5
-    centers.setflags(write=False)
-    return centers
 
 
 def nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -121,8 +107,14 @@ class DenseTsdfGrid:
         return cls.empty(bounds.min_corner, voxel_size, dims, truncation)
 
     def voxel_centers(self) -> np.ndarray:
-        """World-space voxel centers, shape dims + (3,)."""
-        return self.origin + lattice_centers(self.dims) * self.voxel_size
+        """World-space voxel centers, shape dims + (3,): each axis's
+        origin + (index + 0.5) * voxel_size, broadcast over the grid."""
+        centers = np.empty(self.dims + (3,))
+        for d, n in enumerate(self.dims):
+            axis = self.origin[d] + (np.arange(n) + 0.5) * self.voxel_size
+            centers[..., d] = axis.reshape([n if a == d else 1
+                                            for a in range(3)])
+        return centers
 
 
 @dataclass

@@ -8,7 +8,15 @@ import numpy as np
 
 from canontrack.geom import Box3, SimilarityTransform
 from canontrack.synth import ObjectTemplate, posed_bbox
-from canontrack.voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
+from canontrack.voxel import OBJECT_RESOLUTION, nearest_voxel
+
+
+def lattice_centers(dims: tuple) -> np.ndarray:
+    """Voxel-center offsets (index + 0.5) of a whole grid, shape dims + (3,):
+    the full lattice the references scale and shift."""
+    idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
+                   axis=-1)
+    return idx + 0.5
 
 
 @dataclass

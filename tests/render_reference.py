@@ -8,7 +8,8 @@ from canontrack.synth import (REFINE_ITERS, TEMPLATE_KINDS, GroundTruthFrame,
                               GroundTruthObject, ObjectTemplate, SceneScript,
                               _pixel_rays, _shape_mask, posed_bbox)
 from canontrack.voxel import (OBJECT_RESOLUTION, OccupancyGrid, depth_at,
-                              lattice_centers, nearest_voxel)
+                              nearest_voxel)
+from noc_reference import lattice_centers
 
 
 def make_template(kind: str, physical_scale) -> ObjectTemplate:

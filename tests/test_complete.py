@@ -11,8 +11,8 @@ from canontrack.complete import detection_rng, oracle_complete
 from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
 from canontrack.pipeline import PipelineConfig
 from canontrack.pose import solve_pose
-from canontrack.voxel import OBJECT_RESOLUTION, lattice_centers, nearest_voxel
-from noc_reference import NocGrid, ground_truth_noc
+from canontrack.voxel import OBJECT_RESOLUTION, nearest_voxel
+from noc_reference import NocGrid, ground_truth_noc, lattice_centers
 
 
 def rotation_x(angle_rad: float) -> np.ndarray:
@@ -98,6 +98,25 @@ def posed_object(kind="l_shape", yaw=0.8, seed=0):
     surf = template.surface_voxels
     visible = surf[surf[:, 2] >= np.median(surf[:, 2])]
     return template, pose, box, visible
+
+
+def flat_object():
+    """A flat box (0.8 x 0.8 x 0.1 m): its occupied box is a thin slab in
+    the middle of its unit cube, at world z in [0, 0.1] inside a cube that
+    spans z in [-0.35, 0.45]."""
+    template = synth.make_template("box", [0.8, 0.8, 0.1])
+    pose = synth.object_pose(template, [0.0, 0.0], 0.0)
+    return template, pose, template.surface_voxels
+
+
+def above_the_slab_case():
+    """A 0.2 m detection box over the flat box: inside its unit cube, but
+    every crop voxel lies above the occupied slab; every knob is on."""
+    template, pose, visible = flat_object()
+    box = Box3([0.0, 0.0, 0.3], [0.2, 0.2, 0.2])
+    config = PipelineConfig(completion_fraction=0.5, occupancy_flip_rate=0.05,
+                            noc_noise=0.02)
+    return box, template, pose, visible, config, 11
 
 
 class TestOracleComplete:
@@ -199,6 +218,42 @@ class TestOracleComplete:
         with pytest.raises(ValueError):
             oracle_complete(far, template, pose, visible, CLEAN, gen())
 
+    def test_box_in_the_cube_but_off_the_occupied_box(self):
+        box, template, pose, visible, config, seed = above_the_slab_case()
+        ref = reference_oracle_complete(box, template, pose, visible, config,
+                                        gen(seed))
+        out = oracle_complete(box, template, pose, visible, config, gen(seed))
+        assert not ref.full.any() and not out.full.any()
+        assert out.noc.shape == out.centers.shape == (0, 3)
+        assert out.occupancy.any()  # the flips
+        assert out.occupancy.tobytes() == ref.occupancy.tobytes()
+        above = Box3([0.0, 0.0, 0.6], [0.2, 0.2, 0.2])  # over the cube too
+        for oracle in (reference_oracle_complete, oracle_complete):
+            with pytest.raises(ValueError, match="does not overlap"):
+                oracle(above, template, pose, visible, config, gen(seed))
+
+    def test_transforms_fewer_rows_than_reach_the_unit_cube(self, monkeypatch):
+        template, pose, visible = flat_object()
+        pose = synth.object_pose(template, [0.0, 0.0], 0.5)
+        box = synth.posed_bbox(template, pose)
+        cube = box.cubified()
+        shape = (OBJECT_RESOLUTION,) * 3
+        canon = pose.inverse().apply(
+            (cube.min_corner + lattice_centers(shape) / OBJECT_RESOLUTION
+             * cube.extents).reshape(-1, 3))
+        in_cube = int(nearest_voxel(np.ones(shape, dtype=bool), canon).sum())
+        rows = []
+        apply = SimilarityTransform.apply
+
+        def counting_apply(self, points):
+            rows.append(len(np.atleast_2d(points)))
+            return apply(self, points)
+
+        monkeypatch.setattr(SimilarityTransform, "apply", counting_apply)
+        out = oracle_complete(box, template, pose, visible, CLEAN, gen())
+        assert out.full.any()
+        assert 0 < max(rows) < in_cube
+
     def test_transforms_only_rows_that_can_hold_the_object(self, monkeypatch):
         template, pose, box, visible = posed_object()
         loose = Box3(box.center, 2.0 * box.extents)  # the object fills half
@@ -256,6 +311,7 @@ def partial_overlap_case():
 class TestAgainstFullGridReference:
     @given(completion_cases())
     @example(partial_overlap_case())
+    @example(above_the_slab_case())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_grid_oracle(self, case):
         box, template, pose, visible, config, seed = case

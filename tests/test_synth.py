@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -87,19 +89,22 @@ class TestTemplates:
             with pytest.raises(ValueError):
                 a[0] = 0
 
-    def test_never_builds_the_full_lattice(self, monkeypatch):
-        calls = []
-        lattice_centers = voxel.lattice_centers
+    def test_never_builds_the_full_lattice(self):
+        # One float64 lattice of R^3 voxel centers; the reference builder
+        # allocates it, make_template must stay below it.
+        lattice_bytes = voxel.OBJECT_RESOLUTION ** 3 * 3 * 8
 
-        def counting(dims):
-            calls.append(dims)
-            return lattice_centers(dims)
+        def peak_bytes(build, kind):
+            tracemalloc.start()
+            try:
+                build(kind, [0.6, 0.5, 0.4])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        monkeypatch.setattr(voxel, "lattice_centers", counting)
-        monkeypatch.setattr(synth, "lattice_centers", counting, raising=False)
+        assert peak_bytes(render_reference.make_template, "cube") > lattice_bytes
         for kind in synth.TEMPLATE_KINDS:
-            make_template(kind, [0.6, 0.5, 0.4])
-        assert calls == []
+            assert peak_bytes(make_template, kind) < lattice_bytes
 
 
 class TestTemplatesAgainstFullLattice:

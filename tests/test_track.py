@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from canontrack.geom import Box3
-from canontrack.track import (Detection, Tracker, Tracklet, associate_frame,
-                              hungarian, update_canonical)
+from canontrack.track import (RUNNING_AVERAGE_OLD_WEIGHT, Detection, Tracker,
+                              Tracklet, associate_frame, hungarian,
+                              update_canonical)
 
 
 def brute_force_cost(cost):
@@ -135,6 +136,33 @@ class TestUpdateCanonical:
                      history=[])
         with pytest.raises(ValueError):
             update_canonical(t, np.zeros((3, 3, 3)))
+
+    def test_bitwise_equal_to_the_copying_formula(self):
+        # The average is updated in place; this is the form that converted
+        # each bool grid to a float64 copy first.
+        w = RUNNING_AVERAGE_OLD_WEIGHT
+
+        def average(grids):
+            avg = np.asarray(grids[0], dtype=np.float64).copy()
+            for g in grids[1:]:
+                avg = w * avg + (1.0 - w) * np.asarray(g, dtype=np.float64)
+            return avg
+
+        rng = np.random.default_rng(5)
+        shape = rng.random((8, 8, 8)) < 0.5
+        grids = [shape ^ (rng.random(shape.shape) < 0.05) for _ in range(8)]
+        tracker = Tracker()
+        for g in grids[:4]:  # frames 0-3
+            tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, g)])
+        tracker.step([])  # frame 4: lost
+        for g in grids[4:]:  # frames 5-8, far away
+            tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, g)])
+        first, second = average(grids[:4]), average(grids[4:])
+        assert [t.canonical_avg.tobytes() for t in tracker.tracklets] == [
+            first.tobytes(), second.tobytes()]
+        (merged,) = tracker.finish()
+        assert merged.canonical_avg.dtype == np.float64
+        assert merged.canonical_avg.tobytes() == average([first, second]).tobytes()
 
 
 class TestRescueMatch:

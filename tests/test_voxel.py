@@ -4,7 +4,7 @@ import pytest
 from canontrack.geom import SimilarityTransform
 from canontrack.synth import default_intrinsics
 from canontrack.voxel import (DenseTsdfGrid, binarize, extract_surface,
-                              fuse_depth_frame, lattice_centers, nearest_voxel)
+                              fuse_depth_frame, nearest_voxel)
 
 
 def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -124,13 +124,16 @@ class TestExtractSurface:
 
 
 class TestLattice:
-    def test_centers_and_read_only(self):
-        c = lattice_centers((2, 3, 4))
-        assert c.shape == (2, 3, 4, 3)
-        assert c[1, 2, 3].tolist() == [1.5, 2.5, 3.5]
-        assert lattice_centers((2, 3, 4)) is c
-        with pytest.raises(ValueError):
-            c[0, 0, 0, 0] = 9.0
+    def test_voxel_centers_match_meshgrid_formula(self):
+        for dims in [(1, 1, 1), (3, 5, 7), (7, 1, 3)]:
+            grid = DenseTsdfGrid.empty(origin=[-1.3, 0.7, 2.1],
+                                       voxel_size=0.037, dims=dims)
+            idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims],
+                                       indexing="ij"), axis=-1)
+            want = grid.origin + (idx + 0.5) * grid.voxel_size
+            got = grid.voxel_centers()
+            assert got.shape == dims + (3,) and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     def test_nearest_voxel(self):
         grid = np.arange(8).reshape(2, 2, 2)
