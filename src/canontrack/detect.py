@@ -34,7 +34,7 @@ class PredictionFields:
     objectness: np.ndarray  # (N,) in [0, 1]
     center_offset: np.ndarray  # (N, 3) offset to object center, voxels
     extents: np.ndarray  # (N, 3) full box extents, voxels
-    class_scores: np.ndarray  # (N, C), rows sum to 1
+    class_id: np.ndarray  # (N,) int predicted class
     origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
     voxel_size: float = 1.0
 
@@ -44,23 +44,18 @@ class PredictionFields:
         self.objectness = np.asarray(self.objectness, dtype=np.float64).reshape(n)
         self.center_offset = np.asarray(self.center_offset, dtype=np.float64).reshape(n, 3)
         self.extents = np.asarray(self.extents, dtype=np.float64).reshape(n, 3)
-        self.class_scores = np.asarray(self.class_scores, dtype=np.float64).reshape(n, -1)
+        self.class_id = np.asarray(self.class_id, dtype=np.int64).reshape(n)
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        if n and np.abs(self.class_scores.sum(axis=1) - 1.0).max() > 1e-6:
-            raise ValueError("class scores must sum to 1 per voxel")
 
 
 @dataclass
 class DetectionTargets:
-    """Ground-truth fields; center/extent/class targets are only meaningful
-    where object_mask is set."""
+    """Ground-truth fields; a voxel is an object voxel where owner >= 0,
+    and the center/extent targets are only meaningful there."""
 
-    objectness: np.ndarray  # (N,) binary
-    object_mask: np.ndarray  # (N,) bool
+    owner: np.ndarray  # (N,) index of owning ground-truth object, -1 if none
     center_offset: np.ndarray  # (N, 3) voxels
     extents: np.ndarray  # (N, 3) voxels
-    class_id: np.ndarray  # (N,) int
-    owner: np.ndarray  # (N,) index of owning ground-truth object, -1 if none
 
 
 @dataclass
@@ -84,21 +79,19 @@ def binary_cross_entropy(pred, target) -> float:
 
 
 def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
-    """(L_o, L_c, L_d, L_s): objectness BCE over all surface voxels, smooth-l1
-    center/extent losses and class cross-entropy over target-object voxels.
-    All terms are means over their support."""
-    if len(pred.voxels) != len(target.objectness):
+    """(L_o, L_c, L_d): objectness BCE over all surface voxels, and smooth-l1
+    center and extent losses over target-object voxels.  All terms are means
+    over their support."""
+    if len(pred.voxels) != len(target.owner):
         raise ValueError("prediction and target fields are misaligned")
-    l_o = binary_cross_entropy(pred.objectness, target.objectness)
-    m = target.object_mask
+    m = target.owner >= 0
+    l_o = binary_cross_entropy(pred.objectness, m)
     if m.any():
         l_c = float(np.mean(smooth_l1(pred.center_offset[m] - target.center_offset[m])))
         l_d = float(np.mean(smooth_l1(pred.extents[m] - target.extents[m])))
-        probs = np.clip(pred.class_scores[m], EPS, 1.0)
-        l_s = float(np.mean(-np.log(probs[np.arange(m.sum()), target.class_id[m]])))
     else:
-        l_c = l_d = l_s = 0.0
-    return l_o, l_c, l_d, l_s
+        l_c = l_d = 0.0
+    return l_o, l_c, l_d
 
 
 def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarray:
@@ -144,8 +137,7 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
     return pts
 
 
-def mean_shift_proposals(fields: PredictionFields, *,
-                         min_members: int = MIN_CLUSTER_SIZE) -> list:
+def mean_shift_proposals(fields: PredictionFields) -> list:
     """Cluster center votes into box proposals.
 
     Voxels with objectness >= OBJECTNESS_THRESHOLD vote at voxel +
@@ -153,9 +145,9 @@ def mean_shift_proposals(fields: PredictionFields, *,
     iterations, stopping once no mode moves, modes within the kernel radius
     of a stronger mode are merged into it; votes attach to the nearest
     surviving mode within the kernel radius; clusters smaller than
-    min_members are dropped.  Extents are average-pooled over members, the
-    class is a majority vote of per-voxel argmax classes, and the box center
-    is the converged mode.
+    MIN_CLUSTER_SIZE are dropped.  Extents are average-pooled over members,
+    the class is a majority vote of per-voxel classes (the smallest id on a
+    tie), and the box center is the converged mode.
     """
     radius = MEAN_SHIFT_RADIUS
     sel = fields.objectness >= OBJECTNESS_THRESHOLD
@@ -188,12 +180,11 @@ def mean_shift_proposals(fields: PredictionFields, *,
     proposals = []
     for mi in range(len(centers)):
         members = np.nonzero(within & (nearest == mi))[0]
-        if len(members) < min_members:
+        if len(members) < MIN_CLUSTER_SIZE:
             continue
         gi = idx[members]
         extents_vox = fields.extents[gi].mean(axis=0)
-        cls = np.argmax(fields.class_scores[gi], axis=1)
-        class_id = int(np.bincount(cls).argmax())
+        class_id = int(np.bincount(fields.class_id[gi]).argmax())
         center_world = fields.origin + (centers[mi] + 0.5) * fields.voxel_size
         box = Box3(center_world, np.maximum(extents_vox, 1e-6) * fields.voxel_size)
         proposals.append(
@@ -208,14 +199,15 @@ def mean_shift_proposals(fields: PredictionFields, *,
 
 
 def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
-                       num_classes: int, config: PipelineConfig,
+                       config: PipelineConfig,
                        rng: np.random.Generator) -> tuple:
     """Build (PredictionFields, DetectionTargets) from ground truth.
 
     `gt_objects` is a sequence of objects with .box, .pose, .class_id and
     .template attributes (see synth.GroundTruthObject).  A surface voxel is
     owned by the first object whose dilated canonical occupancy
-    (ObjectTemplate.dilated_occupancy) contains it.  The config's
+    (ObjectTemplate.dilated_occupancy) contains it and reports that
+    object's class; unowned voxels report class 0.  The config's
     detector_flip_rate flips objectness, and detector_center_jitter and
     detector_extent_jitter are Gaussian sigmas in voxels.
     """
@@ -237,10 +229,7 @@ def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
         d_t[gidx] = obj.box.extents / surface.voxel_size
         class_t[gidx] = obj.class_id
 
-    mask = owner >= 0
-    o_t = mask.astype(np.float64)
-
-    o = o_t.copy()
+    o = (owner >= 0).astype(np.float64)
     flips = rng.random(n) < config.detector_flip_rate
     o[flips] = 1.0 - o[flips]
     c = c_t + (rng.normal(0.0, config.detector_center_jitter, (n, 3))
@@ -250,24 +239,14 @@ def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
                if config.detector_extent_jitter > 0 else 0.0),
         0.1,
     )
-    scores = np.zeros((n, num_classes))
-    scores[np.arange(n), class_t] = 1.0
 
     pred = PredictionFields(
         voxels=surface.coords,
         objectness=o,
         center_offset=c,
         extents=d,
-        class_scores=scores,
+        class_id=class_t,
         origin=surface.origin,
         voxel_size=surface.voxel_size,
     )
-    target = DetectionTargets(
-        objectness=o_t,
-        object_mask=mask,
-        center_offset=c_t,
-        extents=d_t,
-        class_id=class_t,
-        owner=owner,
-    )
-    return pred, target
+    return pred, DetectionTargets(owner=owner, center_offset=c_t, extents=d_t)

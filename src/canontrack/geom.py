@@ -35,8 +35,11 @@ class SimilarityTransform:
 
     def apply(self, points) -> np.ndarray:
         """Apply to a single 3-vector or an (N, 3) array of points."""
-        p = np.asarray(points, dtype=np.float64)
-        return self.scale * (p @ self.rotation.T) + self.translation
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        # The product is a new array: scale and shift it in place.
+        out *= self.scale
+        out += self.translation
+        return out
 
     def inverse(self) -> "SimilarityTransform":
         inv_scale = 1.0 / self.scale

@@ -59,7 +59,7 @@ class SequenceResult:
     dump: dict
     gt_frames: list
     detections: list  # DetectionRecord per kept proposal
-    detection_losses: list  # (L_o, L_c, L_d, L_s) per frame
+    detection_losses: list  # (L_o, L_c, L_d) per frame
 
     def mean_completion_iou(self) -> float:
         ious = [d.completion_iou for d in self.detections
@@ -72,9 +72,13 @@ def build_sequence_data(script: synth.SceneScript,
     """Render the script and extract the per-frame surface grids.
 
     The TSDF truncation, which is also the ground truth's visibility band,
-    is three voxels.  The pipeline uses a full-voxel surface band (wider than
-    the extract_surface default) so small objects keep enough surface voxels
-    to clear the detector's MIN_CLUSTER_SIZE filter.
+    is three voxels.  The pipeline extracts a full-voxel surface band, which
+    keeps about five times as many surface voxels as the half-voxel
+    extract_surface default, so that most objects give the detector more
+    votes than its MIN_CLUSTER_SIZE filter needs.  It does not guarantee
+    that: a small object seen over little of its surface can still own fewer
+    surface voxels and go unproposed (ROADMAP, "Measured and parked": small
+    objects under the cluster filter).
     """
     truncation = 3.0 * voxel_size
     gt_frames = []
@@ -128,7 +132,7 @@ def process_frame(data: SequenceData, frame_idx: int,
     field_rng = np.random.default_rng(
         np.random.SeedSequence((config.seed, config.sequence_id, frame_idx, 1)))
     fields, targets = detect.make_oracle_fields(
-        surface, gt.objects, synth.NUM_CLASSES, config, field_rng)
+        surface, gt.objects, config, field_rng)
     losses = detect.detection_losses(fields, targets)
     proposals = detect.mean_shift_proposals(fields)
 

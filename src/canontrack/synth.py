@@ -45,8 +45,6 @@ TEMPLATE_KINDS = {
     "ring": (9, "cylindrical", True),
 }
 
-NUM_CLASSES = len(TEMPLATE_KINDS)
-
 
 @dataclass
 class ObjectTemplate:

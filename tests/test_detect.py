@@ -45,14 +45,6 @@ class TestLossPrimitives:
         assert 0.0 <= v <= abs(x) + 1e-12
 
 
-def fields_for(voxels, objectness, center_offset, extents, class_ids,
-               num_classes=3):
-    n = len(voxels)
-    scores = np.zeros((n, num_classes))
-    scores[np.arange(n), class_ids] = 1.0
-    return PredictionFields(voxels, objectness, center_offset, extents, scores)
-
-
 class TestDetectionLosses:
     def test_perfect_prediction_zero_loss(self):
         rng = np.random.default_rng(0)
@@ -61,17 +53,16 @@ class TestDetectionLosses:
         offs = rng.normal(size=(n, 3))
         ext = rng.uniform(1, 10, (n, 3))
         cls = rng.integers(0, 3, n)
-        pred = fields_for(voxels, np.ones(n), offs, ext, cls)
+        pred = PredictionFields(voxels, np.ones(n), offs, ext, cls)
         from canontrack.detect import DetectionTargets
-        target = DetectionTargets(np.ones(n), np.ones(n, dtype=bool),
-                                  offs, ext, cls, np.zeros(n, dtype=int))
-        l_o, l_c, l_d, l_s = detection_losses(pred, target)
-        assert l_o < 1e-10 and l_c == 0.0 and l_d == 0.0 and l_s < 1e-10
+        target = DetectionTargets(np.zeros(n, dtype=int), offs, ext)
+        l_o, l_c, l_d = detection_losses(pred, target)
+        assert l_o < 1e-10 and l_c == 0.0 and l_d == 0.0
 
     def test_known_values(self):
         # 2 voxels: objectness 0.5 everywhere -> L_o = ln 2; center off by
         # 0.5 in one of three axes -> L_c = 0.125 / 3; extents off by 2 in
-        # one axis -> L_d = 1.5 / 3; wrong class with prob 0.5 -> L_s = ln 2
+        # one axis -> L_d = 1.5 / 3
         from canontrack.detect import DetectionTargets
         voxels = np.array([[0, 0, 0], [1, 0, 0]])
         pred = PredictionFields(
@@ -79,38 +70,32 @@ class TestDetectionLosses:
             objectness=[0.5, 0.5],
             center_offset=[[0.5, 0, 0], [0.5, 0, 0]],
             extents=[[3, 1, 1], [3, 1, 1]],
-            class_scores=[[0.5, 0.5], [0.5, 0.5]],
+            class_id=[0, 1],
         )
         target = DetectionTargets(
-            objectness=np.array([1.0, 0.0]),
-            object_mask=np.array([True, True]),
+            owner=np.array([0, 1]),
             center_offset=np.zeros((2, 3)),
             extents=np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
-            class_id=np.array([0, 1]),
-            owner=np.array([0, 1]),
         )
-        l_o, l_c, l_d, l_s = detection_losses(pred, target)
+        l_o, l_c, l_d = detection_losses(pred, target)
         assert l_o == pytest.approx(np.log(2.0), abs=1e-12)
         assert l_c == pytest.approx(0.125 / 3, abs=1e-12)
         assert l_d == pytest.approx(1.5 / 3, abs=1e-12)
-        assert l_s == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_no_object_voxels(self):
         from canontrack.detect import DetectionTargets
         n = 5
-        pred = fields_for(np.zeros((n, 3), int), np.zeros(n),
-                          np.zeros((n, 3)), np.ones((n, 3)),
-                          np.zeros(n, dtype=int))
-        target = DetectionTargets(np.zeros(n), np.zeros(n, dtype=bool),
-                                  np.zeros((n, 3)), np.ones((n, 3)),
-                                  np.zeros(n, dtype=int),
-                                  np.full(n, -1))
-        l_o, l_c, l_d, l_s = detection_losses(pred, target)
+        pred = PredictionFields(np.zeros((n, 3), int), np.zeros(n),
+                                np.zeros((n, 3)), np.ones((n, 3)),
+                                np.zeros(n, dtype=int))
+        target = DetectionTargets(np.full(n, -1), np.zeros((n, 3)),
+                                  np.ones((n, 3)))
+        l_o, l_c, l_d = detection_losses(pred, target)
         assert l_o < 1e-10
-        assert (l_c, l_d, l_s) == (0.0, 0.0, 0.0)
+        assert (l_c, l_d) == (0.0, 0.0)
 
 
-def blob_fields(center, n, rng, spread=3.0, class_id=0, num_classes=3,
+def blob_fields(center, n, rng, spread=3.0, class_id=0,
                 extents=(10.0, 10.0, 10.0)):
     """Surface voxels scattered around a center, all voting for it exactly."""
     voxels = np.round(center + rng.normal(0, spread, (n, 3))).astype(int)
@@ -124,7 +109,7 @@ class TestMeanShift:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
-        f = fields_for(voxels, np.ones(80), offs, ext, cls)
+        f = PredictionFields(voxels, np.ones(80), offs, ext, cls)
         props = mean_shift_proposals(f)
         assert len(props) == 1
         p = props[0]
@@ -140,9 +125,9 @@ class TestMeanShift:
         va, oa, ea, ca = blob_fields([20.0, 20.0, 20.0], 70, rng, class_id=0)
         vb, ob, eb, cb = blob_fields([80.0, 80.0, 80.0], 60, rng, class_id=2,
                                      extents=(6.0, 6.0, 6.0))
-        f = fields_for(np.vstack([va, vb]), np.ones(130),
-                       np.vstack([oa, ob]), np.vstack([ea, eb]),
-                       np.concatenate([ca, cb]))
+        f = PredictionFields(np.vstack([va, vb]), np.ones(130),
+                             np.vstack([oa, ob]), np.vstack([ea, eb]),
+                             np.concatenate([ca, cb]))
         props = sorted(mean_shift_proposals(f), key=lambda p: p.box.center[0])
         assert len(props) == 2
         assert np.allclose(props[0].box.center, 20.5, atol=1e-6)
@@ -151,18 +136,29 @@ class TestMeanShift:
         assert len(props[0].member_indices) == 70
         assert len(props[1].member_indices) == 60
 
+    def test_class_tie_picks_smaller_id(self):
+        rng = np.random.default_rng(8)
+        voxels, offs, ext, _ = blob_fields([40.0, 40.0, 40.0], 80, rng)
+        cls = np.repeat([5, 2], 40)  # the larger id comes first
+        f = PredictionFields(voxels, np.ones(80), offs, ext, cls)
+        props = mean_shift_proposals(f)
+        assert len(props) == 1
+        assert len(props[0].member_indices) == 80
+        assert props[0].class_id == 2
+
     def test_small_cluster_dropped(self):
         rng = np.random.default_rng(2)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 30, rng)
-        f = fields_for(voxels, np.ones(30), offs, ext, cls)
+        f = PredictionFields(voxels, np.ones(30), offs, ext, cls)
         assert mean_shift_proposals(f) == []  # 30 < 50 members
-        assert len(mean_shift_proposals(f, min_members=30)) == 1
+        with mock.patch.object(detect, "MIN_CLUSTER_SIZE", 30):
+            assert len(mean_shift_proposals(f)) == 1
 
     def test_low_objectness_excluded(self):
         rng = np.random.default_rng(3)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
         objectness = np.full(80, 0.4)  # below the 0.5 vote threshold
-        f = fields_for(voxels, objectness, offs, ext, cls)
+        f = PredictionFields(voxels, objectness, offs, ext, cls)
         assert mean_shift_proposals(f) == []
 
     def test_nearby_modes_merge(self):
@@ -170,9 +166,9 @@ class TestMeanShift:
         rng = np.random.default_rng(4)
         va, oa, ea, ca = blob_fields([40.0, 40.0, 40.0], 60, rng, spread=1.0)
         vb, ob, eb, cb = blob_fields([44.0, 40.0, 40.0], 55, rng, spread=1.0)
-        f = fields_for(np.vstack([va, vb]), np.ones(115),
-                       np.vstack([oa, ob]), np.vstack([ea, eb]),
-                       np.concatenate([ca, cb]))
+        f = PredictionFields(np.vstack([va, vb]), np.ones(115),
+                             np.vstack([oa, ob]), np.vstack([ea, eb]),
+                             np.concatenate([ca, cb]))
         assert len(mean_shift_proposals(f)) == 1
 
     def test_permutation_invariance(self):
@@ -184,9 +180,9 @@ class TestMeanShift:
         ext = np.vstack([ea, eb])
         cls = np.concatenate([ca, cb])
         perm = rng.permutation(len(voxels))
-        f1 = fields_for(voxels, np.ones(130), offs, ext, cls)
-        f2 = fields_for(voxels[perm], np.ones(130), offs[perm], ext[perm],
-                        cls[perm])
+        f1 = PredictionFields(voxels, np.ones(130), offs, ext, cls)
+        f2 = PredictionFields(voxels[perm], np.ones(130), offs[perm],
+                              ext[perm], cls[perm])
         p1 = sorted(mean_shift_proposals(f1), key=lambda p: p.box.center[0])
         p2 = sorted(mean_shift_proposals(f2), key=lambda p: p.box.center[0])
         assert len(p1) == len(p2) == 2
@@ -199,9 +195,9 @@ class TestMeanShift:
         rng = np.random.default_rng(6)
         va, oa, ea, ca = blob_fields([20.0, 20.0, 20.0], 70, rng)
         vb, ob, eb, cb = blob_fields([60.0, 20.0, 20.0], 70, rng)
-        f = fields_for(np.vstack([va, vb]), np.ones(140),
-                       np.vstack([oa, ob]), np.vstack([ea, eb]),
-                       np.concatenate([ca, cb]))
+        f = PredictionFields(np.vstack([va, vb]), np.ones(140),
+                             np.vstack([oa, ob]), np.vstack([ea, eb]),
+                             np.concatenate([ca, cb]))
         props = mean_shift_proposals(f)
         assert len(props) == 2
         sets = [set(map(int, p.member_indices)) for p in props]
@@ -210,9 +206,8 @@ class TestMeanShift:
     def test_world_geometry_respected(self):
         rng = np.random.default_rng(7)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
-        f = PredictionFields(voxels, np.ones(80), offs, ext,
-                             np.eye(3)[cls], origin=[1.0, 2.0, 3.0],
-                             voxel_size=0.05)
+        f = PredictionFields(voxels, np.ones(80), offs, ext, cls,
+                             origin=[1.0, 2.0, 3.0], voxel_size=0.05)
         p = mean_shift_proposals(f)[0]
         expected = np.array([1.0, 2.0, 3.0]) + (40.0 + 0.5) * 0.05
         assert np.allclose(p.box.center, expected, atol=1e-9)
@@ -279,12 +274,14 @@ class TestMeanShiftMatchesReference:
         rng = np.random.default_rng(seed)
         n = len(votes)
         voxels = np.round(votes + rng.normal(0.0, 3.0, (n, 3))).astype(int)
-        f = fields_for(voxels, np.ones(n), votes - voxels,
-                       rng.uniform(2.0, 12.0, (n, 3)), rng.integers(0, 3, n))
-        got = mean_shift_proposals(f, min_members=10)
-        with mock.patch.object(detect, "_mean_shift_modes",
-                               reference_mean_shift_modes):
-            want = mean_shift_proposals(f, min_members=10)
+        f = PredictionFields(voxels, np.ones(n), votes - voxels,
+                             rng.uniform(2.0, 12.0, (n, 3)),
+                             rng.integers(0, 3, n))
+        with mock.patch.object(detect, "MIN_CLUSTER_SIZE", 10):
+            got = mean_shift_proposals(f)
+            with mock.patch.object(detect, "_mean_shift_modes",
+                                   reference_mean_shift_modes):
+                want = mean_shift_proposals(f)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert a.box.center.tobytes() == b.box.center.tobytes()
@@ -317,10 +314,9 @@ class TestOracleFields:
     def test_noise_free_targets(self):
         surface, gt = self.scene_surface()
         fields, targets = make_oracle_fields(
-            surface, gt.objects, synth.NUM_CLASSES, CLEAN,
-            np.random.default_rng(0))
+            surface, gt.objects, CLEAN, np.random.default_rng(0))
         # oracle without knobs: predictions equal targets
-        assert np.array_equal(fields.objectness, targets.objectness)
+        assert np.array_equal(fields.objectness, targets.owner >= 0)
         assert np.array_equal(fields.center_offset, targets.center_offset)
         assert np.array_equal(fields.extents, targets.extents)
         losses = detection_losses(fields, targets)
@@ -329,8 +325,7 @@ class TestOracleFields:
     def test_owned_voxels_vote_for_owner_center(self):
         surface, gt = self.scene_surface()
         fields, targets = make_oracle_fields(
-            surface, gt.objects, synth.NUM_CLASSES, CLEAN,
-            np.random.default_rng(0))
+            surface, gt.objects, CLEAN, np.random.default_rng(0))
         for oi, obj in enumerate(gt.objects):
             mine = targets.owner == oi
             if not mine.any():
@@ -338,12 +333,22 @@ class TestOracleFields:
             votes = surface.centers()[mine] + \
                 fields.center_offset[mine] * surface.voxel_size
             assert np.abs(votes - obj.box.center).max() < 1e-9
-            assert (targets.class_id[mine] == obj.class_id).all()
+
+    def test_class_is_owner_class_and_zero_elsewhere(self):
+        surface, gt = self.scene_surface()
+        fields, targets = make_oracle_fields(
+            surface, gt.objects, CLEAN, np.random.default_rng(0))
+        assert fields.class_id.shape == (len(surface),)
+        want = np.zeros(len(surface), dtype=np.int64)
+        for oi, obj in enumerate(gt.objects):
+            want[targets.owner == oi] = obj.class_id
+        assert (targets.owner >= 0).any()
+        assert np.array_equal(fields.class_id, want)
 
     def test_proposals_recover_objects(self):
         surface, gt = self.scene_surface()
-        fields, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                       CLEAN, np.random.default_rng(0))
+        fields, _ = make_oracle_fields(surface, gt.objects, CLEAN,
+                                       np.random.default_rng(0))
         props = mean_shift_proposals(fields)
         assert len(props) == len(gt.objects)
         from canontrack.geom import box_iou_3d
@@ -356,24 +361,21 @@ class TestOracleFields:
         config = PipelineConfig(detector_flip_rate=0.1,
                                 detector_center_jitter=0.5,
                                 detector_extent_jitter=0.5)
-        a, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                  config, np.random.default_rng(42))
-        b, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                  config, np.random.default_rng(42))
+        a, _ = make_oracle_fields(surface, gt.objects, config,
+                                  np.random.default_rng(42))
+        b, _ = make_oracle_fields(surface, gt.objects, config,
+                                  np.random.default_rng(42))
         assert np.array_equal(a.objectness, b.objectness)
         assert np.array_equal(a.center_offset, b.center_offset)
-        assert np.array_equal(a.class_scores, b.class_scores)
+        assert np.array_equal(a.class_id, b.class_id)
 
     def test_flip_rate_statistics(self):
         surface, gt = self.scene_surface()
-        _, targets = make_oracle_fields(surface, gt.objects,
-                                        synth.NUM_CLASSES, CLEAN,
-                                        np.random.default_rng(0))
         config = PipelineConfig(detector_flip_rate=0.25)
-        fields, _ = make_oracle_fields(surface, gt.objects, synth.NUM_CLASSES,
-                                       config, np.random.default_rng(0))
+        fields, targets = make_oracle_fields(surface, gt.objects, config,
+                                             np.random.default_rng(0))
         n = len(fields.objectness)
-        flipped = int(np.sum(fields.objectness != targets.objectness))
+        flipped = int(np.sum(fields.objectness != (targets.owner >= 0)))
         # binomial(n, 0.25) within 4 sigma
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert abs(flipped - 0.25 * n) < 4 * sigma

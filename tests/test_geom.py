@@ -60,6 +60,19 @@ class TestSimilarityTransform:
         hom = m @ np.append(p, 1.0)
         assert np.allclose(hom[:3], t.apply(p))
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 3), (1000, 3)])
+    def test_apply_bitwise_equals_formula_and_keeps_input(self, shape):
+        rng = np.random.default_rng(3)
+        t = SimilarityTransform(rng.uniform(0.1, 5.0), random_rotation(rng),
+                                rng.normal(size=3))
+        p = rng.normal(size=shape)
+        before = p.copy()
+        want = t.scale * (p @ t.rotation.T) + t.translation
+        got = t.apply(p)
+        assert got.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert p.tobytes() == before.tobytes()
+
 
 def mc_box_iou(a, b, n=2_000_000, seed=0):
     """Monte-Carlo volume-sampling oracle over the union's AABB."""

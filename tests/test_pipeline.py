@@ -54,6 +54,19 @@ class TestPipeline:
         _, _, result = small_run
         assert np.max(result.detection_losses) < 1e-9
 
+    def test_detection_losses_are_three_finite_terms(self, small_run):
+        _, data, _ = small_run
+        cfg = small_config(detector_flip_rate=0.2, detector_center_jitter=1.0,
+                           detector_extent_jitter=1.0)
+        result = pipeline.run_sequence(data, cfg.pipeline_config(0))
+        assert len(result.detection_losses) == data.script.frame_count
+        for losses in result.detection_losses:
+            assert len(losses) == 3  # (L_o, L_c, L_d)
+            assert np.isfinite(losses).all()
+        mean = experiment.score_sequence(result, cfg)["mean_detection_losses"]
+        assert len(mean) == 3 and np.isfinite(mean).all()
+        assert min(mean) > 0.0
+
     def test_one_tracklet_per_object(self, small_run):
         config, data, result = small_run
         assert len(result.dump["tracklets"]) == len(data.script.templates)
