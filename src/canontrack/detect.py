@@ -114,18 +114,24 @@ def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarra
         active = np.nonzero(moving)[0]
         if not len(active):
             break
-        # Multi-point queries return each neighbourhood in ascending index.
-        neighborhoods = tree.query_ball_point(pts[active], radius)
-        lens = np.fromiter(map(len, neighborhoods), dtype=np.int64,
-                           count=len(active))
+        # Every (position, vote) pair within `radius`, in no set order;
+        # sorting by position * len(votes) + vote lists each neighbourhood
+        # in ascending vote index, one position after another.
+        pairs = cKDTree(pts[active]).sparse_distance_matrix(
+            tree, radius, output_type="ndarray")
+        lens = np.bincount(pairs["i"], minlength=len(active))
         keep = lens > 0
         moving[active[~keep]] = False
         if keep.any():
             rows = active[keep]
-            flat = np.concatenate([neighborhoods[i] for i in np.nonzero(keep)[0]])
+            key = pairs["i"].astype(np.int64) * len(votes)
+            key += pairs["j"]
+            key.sort()
+            flat = key % len(votes)
             starts = np.zeros(len(rows), dtype=np.int64)
             starts[1:] = np.cumsum(lens[keep])[:-1]
-            new = np.add.reduceat(votes[flat], starts, axis=0) / lens[keep, None]
+            new = (np.add.reduceat(votes.take(flat, axis=0), starts, axis=0)
+                   / lens[keep, None])
             moving[rows] = (new != pts[rows]).any(axis=1)
             pts[rows] = new
         pts, merged = np.unique(pts, axis=0, return_inverse=True)

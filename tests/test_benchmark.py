@@ -1,4 +1,4 @@
-"""Smoke tests of the benchmark's interface to the program: a traced run and
+"""Smoke tests of the benchmark's interface to the program: traced runs and
 an untraced run must finish, pass their checks and report every metric that
 BENCHMARK.json declares for their mode."""
 
@@ -41,3 +41,10 @@ def test_untraced_sweep_run_reports_declared_end_to_end(tmp_path):
     result = run_workload(tmp_path, "sweep", 0)
     assert sorted(result["metrics"]) == \
         sorted(m["name"] for m in DECLARED["end_to_end"])
+
+
+def test_traced_noisy_run_reports_declared_layers(tmp_path):
+    # `noisy` is the workload whose frames mean-shift dominates.
+    result = run_workload(tmp_path, "noisy", 1)
+    assert sorted(result["metrics"]) == \
+        sorted(m["name"] for m in DECLARED["per_layer"])

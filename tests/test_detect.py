@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -250,44 +250,119 @@ def clustered_votes(draw):
     return np.vstack([votes, votes[repeated], isolated])
 
 
+@st.composite
+def lattice_votes(draw):
+    """Votes on the integer lattice, so that many vote pairs lie exactly
+    MEAN_SHIFT_RADIUS apart along an axis: the ties that a neighbour search
+    with `<` instead of `<=` would drop."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    side = draw(st.integers(9, 20))
+    n = draw(st.integers(30, 400))
+    votes = rng.integers(0, side, (n, 3)).astype(np.float64)
+    # A partner exactly one radius along an axis for a tenth of the votes.
+    pick = rng.integers(0, n, n // 10 + 1)
+    partners = votes[pick] + detect.MEAN_SHIFT_RADIUS * np.eye(3)[
+        rng.integers(0, 3, len(pick))]
+    return np.vstack([votes, partners, votes[rng.integers(0, n, n // 10)]])
+
+
+def pairs_at_radius(votes):
+    """Seed-vote pairs of the first mean-shift step at exactly the radius."""
+    seeds = np.unique(np.round(votes), axis=0)
+    d2 = ((seeds[:, None, :] - votes[None, :, :]) ** 2).sum(axis=2)
+    return int(np.count_nonzero(d2 == detect.MEAN_SHIFT_RADIUS ** 2))
+
+
+def noisy_votes(seed, spacing):
+    """Votes of the size the `noisy` benchmark workload clusters (1,200 to
+    1,700 per frame): three clusters of about 400 votes at centre jitter 2,
+    `spacing` voxels apart, plus 300 votes scattered over the crop."""
+    rng = np.random.default_rng(seed)
+    centers = 32.0 + spacing * np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                         [0.0, 1.0, 0.5]])
+    parts = [c + rng.normal(0.0, 2.0, (int(rng.integers(350, 450)), 3))
+             for c in centers]
+    parts.append(rng.uniform(0.0, 64.0, (300, 3)))
+    return np.vstack(parts)
+
+
+def check_modes_against_reference(votes):
+    """_mean_shift_modes gives the reference's distinct rows, byte for byte;
+    returns the reference's rows."""
+    got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                   detect.MEAN_SHIFT_STEPS)
+    want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                                      detect.MEAN_SHIFT_STEPS)
+    assert got.tobytes() == np.unique(want, axis=0).tobytes()
+    return want
+
+
+def fields_voting_for(votes, seed):
+    """Fields whose voxels lie about 3 voxels from their votes, with random
+    extents and classes."""
+    rng = np.random.default_rng(seed)
+    n = len(votes)
+    voxels = np.round(votes + rng.normal(0.0, 3.0, (n, 3))).astype(int)
+    return PredictionFields(voxels, np.ones(n), votes - voxels,
+                            rng.uniform(2.0, 12.0, (n, 3)),
+                            rng.integers(0, 3, n))
+
+
+def check_proposals_against_reference(f, reference_modes):
+    """mean_shift_proposals gives the same boxes, classes and members with
+    _mean_shift_modes as with `reference_modes` (called like it); returns
+    how many."""
+    got = mean_shift_proposals(f)
+    with mock.patch.object(detect, "_mean_shift_modes", reference_modes):
+        want = mean_shift_proposals(f)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.box.center.tobytes() == b.box.center.tobytes()
+        assert a.box.extents.tobytes() == b.box.extents.tobytes()
+        assert a.class_id == b.class_id
+        assert np.array_equal(a.member_indices, b.member_indices)
+    return len(got)
+
+
 class CountingTree(cKDTree):
     calls = 0
 
-    def query_ball_point(self, *args, **kwargs):
+    def sparse_distance_matrix(self, *args, **kwargs):
         CountingTree.calls += 1
-        return super().query_ball_point(*args, **kwargs)
+        return super().sparse_distance_matrix(*args, **kwargs)
 
 
 class TestMeanShiftMatchesReference:
     @given(clustered_votes())
     @settings(max_examples=40, deadline=None)
     def test_modes_bitwise_equal(self, votes):
-        got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
-                                       detect.MEAN_SHIFT_STEPS)
-        want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
-                                          detect.MEAN_SHIFT_STEPS)
-        assert got.tobytes() == np.unique(want, axis=0).tobytes()
+        check_modes_against_reference(votes)
 
     @given(clustered_votes(), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_proposals_equal(self, votes, seed):
-        rng = np.random.default_rng(seed)
-        n = len(votes)
-        voxels = np.round(votes + rng.normal(0.0, 3.0, (n, 3))).astype(int)
-        f = PredictionFields(voxels, np.ones(n), votes - voxels,
-                             rng.uniform(2.0, 12.0, (n, 3)),
-                             rng.integers(0, 3, n))
+        f = fields_voting_for(votes, seed)
         with mock.patch.object(detect, "MIN_CLUSTER_SIZE", 10):
-            got = mean_shift_proposals(f)
-            with mock.patch.object(detect, "_mean_shift_modes",
-                                   reference_mean_shift_modes):
-                want = mean_shift_proposals(f)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
-            assert a.box.center.tobytes() == b.box.center.tobytes()
-            assert a.box.extents.tobytes() == b.box.extents.tobytes()
-            assert a.class_id == b.class_id
-            assert np.array_equal(a.member_indices, b.member_indices)
+            check_proposals_against_reference(f, reference_mean_shift_modes)
+
+    @given(lattice_votes())
+    # A 4-voxel lattice: every interior seed has six votes exactly
+    # MEAN_SHIFT_RADIUS away, and symmetric neighbourhoods keep interior
+    # positions on the lattice for later steps.
+    @example(np.stack(np.meshgrid(*[np.arange(0.0, 40.0, 4.0)] * 3,
+                                  indexing="ij"), axis=-1).reshape(-1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_modes_bitwise_equal_with_ties_at_the_radius(self, votes):
+        assert pairs_at_radius(votes) > 0
+        check_modes_against_reference(votes)
+
+    @pytest.mark.parametrize("seed,spacing", [(0, 12.0), (1, 7.0), (2, 4.0)])
+    def test_noisy_sized_vote_sets(self, seed, spacing):
+        votes = noisy_votes(seed, spacing)
+        assert 1200 <= len(votes) <= 1700
+        want = check_modes_against_reference(votes)
+        f = fields_voting_for(votes, seed)
+        assert check_proposals_against_reference(f, lambda *args: want)
 
     @pytest.mark.parametrize("center", [[40.0, 40.0, 40.0],
                                         [33.3, 41.7, 25.1]])
@@ -297,7 +372,7 @@ class TestMeanShiftMatchesReference:
         with mock.patch.object(detect, "cKDTree", CountingTree):
             got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
                                            detect.MEAN_SHIFT_STEPS)
-        assert CountingTree.calls <= 2
+        assert 1 <= CountingTree.calls <= 2
         want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
                                           detect.MEAN_SHIFT_STEPS)
         assert got.tobytes() == want.tobytes()
