@@ -142,7 +142,7 @@ def score_tracking(dump: dict, gt_dump: dict,
     ground-truth dump (gt_to_dict): {"mota", "mota_breakdown"}."""
     gt_frames = {
         fr["frame"]: [
-            metrics.TrackRecord(o["id"], o["box"]["center"], o["class_id"])
+            metrics.TrackRecord(o["id"], o["box"]["center"])
             for o in fr["objects"]
         ]
         for fr in gt_dump["frames"]
@@ -252,17 +252,20 @@ def write_json(path, obj, indent: int | None = None) -> None:
 
 def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
     """Experiment summary over per-sequence scores.  Sequences without a
-    MOTA (no ground truth) or a rotation error are left out of those means;
-    a missing completion IoU counts as 0."""
+    MOTA (no ground truth), a completion IoU (dumps scored without their
+    scores file) or a rotation error are left out of those aggregates; an
+    aggregate over no sequence is None."""
     scores = per_sequence.values()
     motas = [s["mota"] for s in scores if s["mota"] is not None]
-    comp_ious = [s.get("mean_completion_iou", 0.0) for s in scores]
+    comp_ious = [s["mean_completion_iou"] for s in scores
+                 if s.get("mean_completion_iou") is not None]
     rots = [s["median_rotation_error_deg"] for s in scores
             if s.get("median_rotation_error_deg") is not None]
     return {
         "config": config.to_dict(),
         "mean_mota": float(np.mean(motas)) if motas else None,
-        "mean_completion_iou": float(np.mean(comp_ious)),
+        "mean_completion_iou": (float(np.mean(comp_ious)) if comp_ious
+                                else None),
         "median_rotation_error_deg": float(np.median(rots)) if rots else None,
         "per_sequence": per_sequence,
     }
@@ -345,8 +348,7 @@ def write_csv(path, summaries) -> None:
                 })
 
 
-def sweep_completion(config: ExperimentConfig,
-                     fractions=(0.0, 0.25, 0.5, 0.75, 1.0)) -> list:
+def sweep_completion(config: ExperimentConfig, fractions) -> list:
     """Run the experiment at each completion fraction; sequences and all
     other knobs are held fixed.  Returns one run_experiment summary per
     fraction.

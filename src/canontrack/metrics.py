@@ -20,7 +20,7 @@ class TrackRecord:
 
     track_id: int
     center: np.ndarray
-    class_id: int = 0
+    class_id: int = 0  # read by nothing: MOTA matches by distance only
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
@@ -123,8 +123,7 @@ def tracklet_dump_to_frames(dump: dict) -> dict:
     for t in dump["tracklets"]:
         for rec in t["frames"]:
             frames.setdefault(rec["frame"], []).append(
-                TrackRecord(t["id"], np.array(rec["box"]["center"]), t["class_id"])
-            )
+                TrackRecord(t["id"], np.array(rec["box"]["center"])))
     for f in range(dump.get("frame_count", 0)):
         frames.setdefault(f, [])
     return frames

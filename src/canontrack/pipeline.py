@@ -68,25 +68,30 @@ class SequenceResult:
 
 
 def build_sequence_data(script: synth.SceneScript,
-                        voxel_size: float = 0.05) -> SequenceData:
+                        voxel_size: float) -> SequenceData:
     """Render the script and extract the per-frame surface grids.
 
-    The TSDF truncation, which is also the ground truth's visibility band,
-    is three voxels.  The pipeline extracts a full-voxel surface band, which
-    keeps about five times as many surface voxels as the half-voxel
-    extract_surface default, so that most objects give the detector more
-    votes than its MIN_CLUSTER_SIZE filter needs.  It does not guarantee
-    that: a small object seen over little of its surface can still own fewer
-    surface voxels and go unproposed (ROADMAP, "Measured and parked": small
-    objects under the cluster filter).
+    The ground truth's visibility band is the TSDF truncation, three voxels
+    (DenseTsdfGrid.truncation).  The pipeline extracts a full-voxel surface
+    band, which keeps about five times as many surface voxels as the
+    half-voxel extract_surface default, so that most objects give the
+    detector more votes than its MIN_CLUSTER_SIZE filter needs.  It does not
+    guarantee that: a small object seen over little of its surface can still
+    own fewer surface voxels and go unproposed (ROADMAP, "Measured and
+    parked": small objects under the cluster filter).
     """
-    truncation = 3.0 * voxel_size
     gt_frames = []
     surfaces = []
     for f in range(script.frame_count):
-        depth, gt = synth.render_frame(script, f, visibility_band=truncation)
-        grid = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size, truncation)
-        grid = fuse_depth_frame(depth, script.intrinsics, gt.camera_pose, grid)
+        # `grid` holds the previous frame's fused grid until this frame's is
+        # made.  Freed before rendering, its memory goes back to the system
+        # and fusion faults it in again: up to three times the page faults
+        # per build on the `noisy` benchmark workload.
+        empty = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size)
+        depth, gt = synth.render_frame(script, f,
+                                       visibility_band=empty.truncation)
+        grid = fuse_depth_frame(depth, script.intrinsics, gt.camera_pose,
+                                empty)
         gt_frames.append(gt)
         surfaces.append(extract_surface(grid, band=voxel_size))
     return SequenceData(script, gt_frames, surfaces)
@@ -96,8 +101,6 @@ def _scatter_canonical(coords: np.ndarray) -> np.ndarray:
     """Nearest-neighbor scatter of (N, 3) canonical coordinates onto the
     canonical lattice as a bool grid; collisions max-pool (binary or)."""
     grid = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
-    if len(coords) == 0:
-        return grid
     idx = np.clip(np.floor(coords * OBJECT_RESOLUTION).astype(np.int64),
                   0, OBJECT_RESOLUTION - 1)
     grid[idx[:, 0], idx[:, 1], idx[:, 2]] = True

@@ -39,7 +39,7 @@ class CorrespondenceSet:
             raise ValueError("need at least 3 correspondences")
 
 
-def umeyama_solve(corr: CorrespondenceSet, eps: float = 1e-9) -> SimilarityTransform:
+def umeyama_solve(corr: CorrespondenceSet) -> SimilarityTransform:
     """Least-squares scale/rotation/translation mapping canonical points onto
     observed points.
 
@@ -48,6 +48,7 @@ def umeyama_solve(corr: CorrespondenceSet, eps: float = 1e-9) -> SimilarityTrans
     Planar point sets are fine; collinear or coincident ones raise
     DegenerateCorrespondences.
     """
+    eps = 1e-9  # variance, singular value and scale below this are degenerate
     pn = corr.canonical
     po = corr.observed
     n = len(pn)

@@ -30,6 +30,7 @@ MIN_SEPARATION = 0.95  # meters
 MAX_OBJECTS = 3
 JUMP_PERIOD = 3  # frames between jumps in "fast" motion
 REFINE_ITERS = 40  # bisection steps of a ray's first hit
+FLOOR_HALF_EXTENT = 3.0  # meters: the floor is |x|, |y| <= this at z = 0
 
 # kind -> (class id, symmetry, square footprint required)
 TEMPLATE_KINDS = {
@@ -176,16 +177,18 @@ def make_template(kind: str, physical_scale,
     )
 
 
-def object_pose(template: ObjectTemplate, center_xy, yaw: float,
-                bottom_z: float = 0.0) -> SimilarityTransform:
+def object_pose(template: ObjectTemplate, center_xy,
+                yaw: float) -> SimilarityTransform:
     """Pose placing the template at a planar position with its occupied
-    geometry resting on z = bottom_z."""
+    geometry resting on the floor, z = 0."""
     lo, hi = template.canonical_bbox
     c = template.pose_scale
     rot = yaw_rotation(yaw)
     # canonical occupied center, mapped to (cx, cy, *) in world
     mid = 0.5 * (lo + hi)
-    tz = bottom_z - c * lo[2]
+    # the floor's height, 0, minus the occupied bottom; a bottom at lo 0
+    # gives tz +0.0, not -0.0
+    tz = 0.0 - c * lo[2]
     txy = np.asarray(center_xy, dtype=np.float64) - c * (rot @ mid)[:2]
     return SimilarityTransform(c, rot, np.array([txy[0], txy[1], tz]))
 
@@ -234,7 +237,6 @@ class SceneScript:
     intrinsics: CameraIntrinsics
     scene_bounds: Box3
     include_floor: bool = True
-    floor_half_extent: float = 3.0
 
     def __post_init__(self):
         if len(self.object_poses) < 1:
@@ -257,7 +259,7 @@ class SceneScript:
             "intrinsics": self.intrinsics.to_dict(),
             "scene_bounds": self.scene_bounds.to_dict(),
             "include_floor": self.include_floor,
-            "floor_half_extent": self.floor_half_extent,
+            "floor_half_extent": FLOOR_HALF_EXTENT,
             "camera_poses": [p.to_dict() for p in self.camera_poses],
             "objects": [
                 {
@@ -272,12 +274,13 @@ class SceneScript:
         }
 
 
-def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> SimilarityTransform:
-    """Camera-to-world pose: camera z forward, x right, y down."""
+def look_at(eye, target) -> SimilarityTransform:
+    """Camera-to-world pose: camera z forward, x right, y down, with world z
+    up."""
     eye = np.asarray(eye, dtype=np.float64)
     f = np.asarray(target, dtype=np.float64) - eye
     f = f / np.linalg.norm(f)
-    r = np.cross(f, np.asarray(up, dtype=np.float64))
+    r = np.cross(f, np.array([0.0, 0.0, 1.0]))
     nr = np.linalg.norm(r)
     if nr < 1e-9:
         raise ValueError("camera forward is parallel to up")
@@ -287,9 +290,11 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> SimilarityTransform:
     return SimilarityTransform(1.0, rot, eye)
 
 
-def default_intrinsics(width: int = 240, height: int = 180,
-                       fov_deg: float = 60.0) -> CameraIntrinsics:
-    f = width / (2.0 * np.tan(np.radians(fov_deg) / 2.0))
+def default_intrinsics(width: int = 240,
+                       height: int = 180) -> CameraIntrinsics:
+    """Square pixels, the principal point at the image center and a 60
+    degree horizontal field of view."""
+    f = width / (2.0 * np.tan(np.radians(60.0) / 2.0))
     return CameraIntrinsics(f, f, width / 2.0, height / 2.0, width, height)
 
 
@@ -413,8 +418,8 @@ def render_frame(script: SceneScript, frame_idx: int,
             s = -o[2] / dz
         px = o[0] + s * dirs[:, 0]
         py = o[1] + s * dirs[:, 1]
-        ok = (dz < -1e-12) & (s > 0) & (np.abs(px) <= script.floor_half_extent) \
-            & (np.abs(py) <= script.floor_half_extent)
+        ok = (dz < -1e-12) & (s > 0) & (np.abs(px) <= FLOOR_HALF_EXTENT) \
+            & (np.abs(py) <= FLOOR_HALF_EXTENT)
         zbuf[ok] = s[ok]
 
     cam_inv = cam.inverse()
@@ -457,11 +462,11 @@ def render_frame(script: SceneScript, frame_idx: int,
     return depth, GroundTruthFrame(frame_idx, cam, objects)
 
 
-def visible_overlap_fraction_low(gt_frames, voxel_size: float = 0.05,
-                                 iou_threshold: float = 0.3) -> float:
+def visible_overlap_fraction_low(gt_frames,
+                                 voxel_size: float = 0.05) -> float:
     """Fraction of frame transitions where some object's visible geometry
     (posed visible voxels, quantized to a world lattice) overlaps the
-    previous frame's with IoU below the threshold."""
+    previous frame's with IoU below 0.3."""
     low = 0
     total = 0
     for prev, cur in zip(gt_frames, gt_frames[1:]):
@@ -481,7 +486,7 @@ def visible_overlap_fraction_low(gt_frames, voxel_size: float = 0.05,
             common = len(np.intersect1d(a, b, assume_unique=True))
             union = len(a) + len(b) - common
             iou = common / union if union else 0.0
-            if iou < iou_threshold:
+            if iou < 0.3:
                 frame_low = True
         total += 1
         if frame_low:

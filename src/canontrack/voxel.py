@@ -13,7 +13,6 @@ import numpy as np
 
 from .geom import Box3, SimilarityTransform
 
-DEFAULT_VOXEL_SIZE = 0.05
 # Side of every object-space grid: template occupancy, completion crop and
 # canonical reconstruction.  The three must agree for their IoUs to be defined.
 OBJECT_RESOLUTION = 64
@@ -66,7 +65,6 @@ class DenseTsdfGrid:
     voxel_size: float
     values: np.ndarray  # truncated signed distances, meters
     weights: np.ndarray  # per-voxel observation weight, 0 = never observed
-    truncation: float
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
@@ -74,37 +72,25 @@ class DenseTsdfGrid:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.values.shape != self.weights.shape or self.values.ndim != 3:
             raise ValueError("values and weights must be matching 3D arrays")
-        if self.voxel_size <= 0 or self.truncation <= 0:
-            raise ValueError("voxel_size and truncation must be positive")
+        if self.voxel_size <= 0:
+            raise ValueError("voxel_size must be positive")
 
     @property
     def dims(self) -> tuple:
         return self.values.shape
 
-    @classmethod
-    def empty(
-        cls,
-        origin,
-        voxel_size: float = DEFAULT_VOXEL_SIZE,
-        dims=(64, 64, 64),
-        truncation: float | None = None,
-    ) -> "DenseTsdfGrid":
-        if truncation is None:
-            truncation = 3.0 * voxel_size
-        dims = tuple(int(d) for d in dims)
-        return cls(
-            origin=np.asarray(origin, dtype=np.float64),
-            voxel_size=voxel_size,
-            values=np.zeros(dims),
-            weights=np.zeros(dims),
-            truncation=truncation,
-        )
+    @property
+    def truncation(self) -> float:
+        """Distance, meters, at which signed distances are clipped: three
+        voxels."""
+        return 3.0 * self.voxel_size
 
     @classmethod
-    def for_bounds(cls, bounds: Box3, voxel_size: float = DEFAULT_VOXEL_SIZE,
-                   truncation: float | None = None) -> "DenseTsdfGrid":
-        dims = np.ceil(bounds.extents / voxel_size).astype(int)
-        return cls.empty(bounds.min_corner, voxel_size, dims, truncation)
+    def for_bounds(cls, bounds: Box3, voxel_size: float) -> "DenseTsdfGrid":
+        """Unobserved grid whose voxels cover the box from its min corner."""
+        dims = tuple(int(d) for d in np.ceil(bounds.extents / voxel_size))
+        return cls(bounds.min_corner, voxel_size, np.zeros(dims),
+                   np.zeros(dims))
 
     def voxel_centers(self) -> np.ndarray:
         """World-space voxel centers, shape dims + (3,): each axis's
@@ -208,7 +194,6 @@ def fuse_depth_frame(
         voxel_size=grid.voxel_size,
         values=values.reshape(grid.dims),
         weights=weights.reshape(grid.dims),
-        truncation=grid.truncation,
     )
 
 

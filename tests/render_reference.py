@@ -4,9 +4,10 @@ the renderer that ray-casts every pixel against every object, against which
 
 import numpy as np
 
-from canontrack.synth import (REFINE_ITERS, TEMPLATE_KINDS, GroundTruthFrame,
-                              GroundTruthObject, ObjectTemplate, SceneScript,
-                              _pixel_rays, _shape_mask, posed_bbox)
+from canontrack.synth import (FLOOR_HALF_EXTENT, REFINE_ITERS, TEMPLATE_KINDS,
+                              GroundTruthFrame, GroundTruthObject,
+                              ObjectTemplate, SceneScript, _pixel_rays,
+                              _shape_mask, posed_bbox)
 from canontrack.voxel import (OBJECT_RESOLUTION, OccupancyGrid, depth_at,
                               nearest_voxel)
 from noc_reference import lattice_centers
@@ -110,8 +111,8 @@ def render_frame(script: SceneScript, frame_idx: int,
             s = -o[2] / dz
         px = o[0] + s * dirs[:, 0]
         py = o[1] + s * dirs[:, 1]
-        ok = (dz < -1e-12) & (s > 0) & (np.abs(px) <= script.floor_half_extent) \
-            & (np.abs(py) <= script.floor_half_extent)
+        ok = (dz < -1e-12) & (s > 0) & (np.abs(px) <= FLOOR_HALF_EXTENT) \
+            & (np.abs(py) <= FLOOR_HALF_EXTENT)
         zbuf[ok] = s[ok]
 
     for oi, template in enumerate(script.templates):

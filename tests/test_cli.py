@@ -126,6 +126,29 @@ class TestTrackAndEval:
             (tmp_path / "experiment" / "metrics.json").read_text())
         assert summary["per_sequence"] == exp_file["per_sequence"]
 
+    def test_eval_without_score_files(self, tmp_path):
+        # Dumps alone, as another tracker would leave them: no completion
+        # IoU or rotation error was measured, so none is reported.
+        path = str(tmp_path / "config.json")
+        experiment.write_json(path, experiment.ExperimentConfig(
+            seed=1, n_sequences=2, n_frames=3, n_objects=2,
+            image_width=160, image_height=120).to_dict())
+        out = tmp_path / "out"
+        r = run_cli("track", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        tracked = json.loads((out / "metrics.json").read_text())
+        assert tracked["mean_completion_iou"] is not None
+        for sid in range(2):
+            (out / f"scores_seq{sid:04d}.json").unlink()
+
+        r = run_cli("eval", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        summary = json.loads((out / "metrics.json").read_text())
+        assert summary["mean_mota"] == tracked["mean_mota"]
+        assert json.loads(r.output)["mean_mota"] == tracked["mean_mota"]
+        assert summary["mean_completion_iou"] is None
+        assert summary["median_rotation_error_deg"] is None
+
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):
         r = run_cli("eval", "--config", config_path,
                     "--output", str(tmp_path / "empty"))

@@ -141,7 +141,6 @@ class TestTrackletDumpToFrames:
         assert frames[1] == []
         assert frames[0][0].track_id == 4
         assert np.allclose(frames[0][0].center, [1, 2, 3])
-        assert frames[0][0].class_id == 2
 
 
 class TestPoseErrorStats:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import multiprocessing
@@ -66,6 +67,23 @@ class TestPipeline:
         mean = experiment.score_sequence(result, cfg)["mean_detection_losses"]
         assert len(mean) == 3 and np.isfinite(mean).all()
         assert min(mean) > 0.0
+
+    def test_scoring_reads_no_class_id(self, small_run):
+        config, data, result = small_run
+        gt = experiment.gt_to_dict(data.gt_frames)
+        dump = copy.deepcopy(result.dump)
+        # one tracklet 0.3 m off, past the gate, so that MOTA has errors
+        for rec in dump["tracklets"][0]["frames"]:
+            rec["box"]["center"][0] += 0.3
+        bare_dump, bare_gt = copy.deepcopy(dump), copy.deepcopy(gt)
+        for t in bare_dump["tracklets"]:
+            del t["class_id"]
+        for fr in bare_gt["frames"]:
+            for o in fr["objects"]:
+                del o["class_id"]
+        scores = experiment.score_tracking(dump, gt, config)
+        assert scores["mota"] < 1.0
+        assert experiment.score_tracking(bare_dump, bare_gt, config) == scores
 
     def test_one_tracklet_per_object(self, small_run):
         config, data, result = small_run
@@ -293,6 +311,36 @@ def written_files(root):
     """Every file under root, by relative path, as bytes."""
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestBuildSequenceData:
+    @pytest.mark.parametrize("voxel_size", [0.05, 0.04])
+    def test_visibility_band_is_the_grid_truncation(self, monkeypatch,
+                                                    voxel_size):
+        """The ground truth calls a surface voxel visible within the same
+        band the TSDF truncates at."""
+        grids, bands = [], []
+        for_bounds = pipeline.DenseTsdfGrid.for_bounds
+        render = synth.render_frame
+
+        def recording_for_bounds(*args, **kwargs):
+            grids.append(for_bounds(*args, **kwargs))
+            return grids[-1]
+
+        def recording_render(*args, **kwargs):
+            bands.append(kwargs["visibility_band"])
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.DenseTsdfGrid, "for_bounds",
+                            recording_for_bounds)
+        monkeypatch.setattr(synth, "render_frame", recording_render)
+        cfg = small_config(n_frames=2, image_width=48, image_height=36)
+        pipeline.build_sequence_data(experiment.make_script(cfg, 0),
+                                     voxel_size)
+        assert len(grids) == len(bands) == 2
+        for grid, band in zip(grids, bands):
+            assert grid.voxel_size == voxel_size
+            assert band == grid.truncation == 3.0 * voxel_size
 
 
 class TestSweepCompletion:

@@ -301,12 +301,14 @@ def reference_scenes(draw):
     # look_at needs a forward direction away from the vertical
     assume(np.linalg.norm(forward[:2])
            > 1e-3 * max(np.linalg.norm(forward), 0.1))
+    width = draw(st.sampled_from([33, 48]))
+    height = draw(st.sampled_from([25, 36]))
+    f = width / (2.0 * np.tan(np.radians(draw(st.floats(40.0, 100.0))) / 2.0))
     return SceneScript(
         templates=templates, object_poses=[poses],
         camera_poses=[look_at(eye, target)],
-        intrinsics=default_intrinsics(draw(st.sampled_from([33, 48])),
-                                      draw(st.sampled_from([25, 36])),
-                                      draw(st.floats(40.0, 100.0))),
+        intrinsics=voxel.CameraIntrinsics(f, f, width / 2.0, height / 2.0,
+                                          width, height),
         scene_bounds=Box3([0, 0, 0.3], [4.0, 4.0, 2.0]),
         include_floor=draw(st.booleans()),
     )

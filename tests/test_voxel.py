@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from canontrack.geom import SimilarityTransform
-from canontrack.synth import default_intrinsics
-from canontrack.voxel import (DenseTsdfGrid, binarize, extract_surface,
-                              fuse_depth_frame, nearest_voxel)
+from canontrack.geom import Box3, SimilarityTransform
+from canontrack.voxel import (CameraIntrinsics, DenseTsdfGrid, binarize,
+                              extract_surface, fuse_depth_frame, nearest_voxel)
 
 
 def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -18,14 +17,18 @@ def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
+def empty_grid(origin, voxel_size, dims):
+    return DenseTsdfGrid(origin, voxel_size, np.zeros(dims), np.zeros(dims))
+
+
 def flat_wall_setup(wall_z=1.01, voxel_size=0.05):
     """Camera at the origin looking down +z at an infinite wall: every pixel's
     depth is the wall distance, so the expected TSDF is analytic."""
-    intr = default_intrinsics(64, 48, fov_deg=40.0)
+    f = 64 / (2.0 * np.tan(np.radians(40.0) / 2.0))  # 40 degree field of view
+    intr = CameraIntrinsics(f, f, 32.0, 24.0, 64, 48)
     depth = np.full((intr.height, intr.width), wall_z)
     cam = SimilarityTransform()  # camera frame == world frame
-    grid = DenseTsdfGrid.empty(
-        origin=[-0.3, -0.3, 0.5], voxel_size=voxel_size, dims=(12, 12, 16))
+    grid = empty_grid([-0.3, -0.3, 0.5], voxel_size, (12, 12, 16))
     return depth, intr, cam, grid
 
 
@@ -118,7 +121,7 @@ class TestExtractSurface:
         assert np.abs(wide.centers()[:, 2] - 1.01).max() < grid.voxel_size
 
     def test_unobserved_voxels_excluded(self):
-        grid = DenseTsdfGrid.empty(origin=[0, 0, 0], dims=(4, 4, 4))
+        grid = empty_grid([0, 0, 0], 0.05, (4, 4, 4))
         # values are zero everywhere, but nothing was observed
         assert len(extract_surface(grid)) == 0
 
@@ -126,8 +129,7 @@ class TestExtractSurface:
 class TestLattice:
     def test_voxel_centers_match_meshgrid_formula(self):
         for dims in [(1, 1, 1), (3, 5, 7), (7, 1, 3)]:
-            grid = DenseTsdfGrid.empty(origin=[-1.3, 0.7, 2.1],
-                                       voxel_size=0.037, dims=dims)
+            grid = empty_grid([-1.3, 0.7, 2.1], 0.037, dims)
             idx = np.stack(np.meshgrid(*[np.arange(d) for d in dims],
                                        indexing="ij"), axis=-1)
             want = grid.origin + (idx + 0.5) * grid.voxel_size
@@ -168,6 +170,23 @@ class TestLattice:
                     want = reference_nearest_voxel(grid, pts)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("voxel_size", [0.05, 0.04])
+    def test_three_voxels_for_bounds_and_fused(self, voxel_size):
+        bounds = Box3([0.0, 0.0, 1.0], [0.7, 0.5, 0.9])
+        grid = DenseTsdfGrid.for_bounds(bounds, voxel_size)
+        assert grid.dims == tuple(np.ceil(bounds.extents / voxel_size))
+        assert grid.origin.tobytes() == bounds.min_corner.tobytes()
+        assert not grid.weights.any() and not grid.values.any()
+        depth, intr, cam, _ = flat_wall_setup()
+        fused = fuse_depth_frame(depth, intr, cam, grid)
+        assert fused.weights.any()
+        assert grid.truncation == 3.0 * voxel_size
+        assert fused.truncation == 3.0 * voxel_size
+        with pytest.raises(AttributeError):
+            grid.truncation = 0.1
 
 
 class TestBinarize:
