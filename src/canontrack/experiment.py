@@ -303,8 +303,7 @@ def _run(config: ExperimentConfig, fractions: list, out_dirs: list) -> list:
             write_json(out / f"tracklets_seq{sid:04d}.json", dump)
             write_json(out / f"gt_seq{sid:04d}.json", gt)
             write_json(out / f"scores_seq{sid:04d}.json", scores)
-        write_json(out / "metrics.json", summary, indent=2)
-        write_csv(out / "metrics.csv", [summary])
+        write_summary(out, summary)
         summaries.append(summary)
     return summaries
 
@@ -320,32 +319,30 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return _run(config, [config.completion_fraction], [config.output_dir])[0]
 
 
-CSV_FIELDS = ["completion_fraction", "no_correspondence_matching",
-              "sequence", "mota", "mean_completion_iou",
-              "median_rotation_error_deg", "detection_map_50",
-              "completion_map_25"]
+def write_summary(out: Path, summary: dict) -> None:
+    """Write a run's summary into directory `out`: metrics.json and its flat
+    CSV, metrics.csv."""
+    write_json(out / "metrics.json", summary, indent=2)
+    write_csv(out / "metrics.csv", [summary])
+
+
+# The config fields and the per-sequence scores each CSV row carries.
+CSV_CONFIG = ["completion_fraction", "no_correspondence_matching"]
+CSV_SCORES = ["mota", "mean_completion_iou", "median_rotation_error_deg",
+              "detection_map_50", "completion_map_25"]
 
 
 def write_csv(path, summaries) -> None:
-    """One row per sequence per run/ablation, for external plotting."""
+    """One row per sequence per run/ablation, for external plotting.  A
+    score a sequence lacks (not measured) is an empty cell."""
     with open(path, "w", newline="") as f:
-        w = csv.DictWriter(f, fieldnames=CSV_FIELDS)
-        w.writeheader()
+        w = csv.writer(f)
+        w.writerow(CSV_CONFIG + ["sequence"] + CSV_SCORES)
         for s in summaries:
-            cfg = s["config"]
+            run = [s["config"][name] for name in CSV_CONFIG]
             for sid, scores in sorted(s["per_sequence"].items()):
-                w.writerow({
-                    "completion_fraction": cfg["completion_fraction"],
-                    "no_correspondence_matching":
-                        cfg["no_correspondence_matching"],
-                    "sequence": sid,
-                    "mota": scores["mota"],
-                    "mean_completion_iou": scores["mean_completion_iou"],
-                    "median_rotation_error_deg":
-                        scores["median_rotation_error_deg"],
-                    "detection_map_50": scores["detection_map_50"],
-                    "completion_map_25": scores["completion_map_25"],
-                })
+                w.writerow(run + [sid] + [scores.get(name)
+                                          for name in CSV_SCORES])
 
 
 def sweep_completion(config: ExperimentConfig, fractions) -> list:
@@ -363,12 +360,13 @@ def sweep_completion(config: ExperimentConfig, fractions) -> list:
         raise ValueError("no completion fractions to sweep")
     by_dir = {}
     for f in fractions:
+        f = float(f) or 0.0  # -0 is 0: one directory and one config value
         name = f"f_{f:g}"
         if name in by_dir:
             raise ValueError(f"completion fractions {by_dir[name]} and {f} "
                              f"both write to {name}/")
         by_dir[name] = f
-    summaries = _run(config, [float(f) for f in by_dir.values()],
+    summaries = _run(config, list(by_dir.values()),
                      [str(Path(config.output_dir) / name) for name in by_dir])
     write_csv(Path(config.output_dir) / "sweep.csv", summaries)
     return summaries

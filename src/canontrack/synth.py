@@ -13,7 +13,7 @@ invalid pixels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -256,7 +256,7 @@ class SceneScript:
     def to_dict(self) -> dict:
         return {
             "version": 1,
-            "intrinsics": self.intrinsics.to_dict(),
+            "intrinsics": asdict(self.intrinsics),
             "scene_bounds": self.scene_bounds.to_dict(),
             "include_floor": self.include_floor,
             "floor_half_extent": FLOOR_HALF_EXTENT,

@@ -48,16 +48,6 @@ class CameraIntrinsics:
     width: int
     height: int
 
-    def to_dict(self) -> dict:
-        return {
-            "fx": self.fx,
-            "fy": self.fy,
-            "cx": self.cx,
-            "cy": self.cy,
-            "width": self.width,
-            "height": self.height,
-        }
-
 
 @dataclass
 class DenseTsdfGrid:

@@ -66,13 +66,18 @@ class TestTrackAndEval:
                      "scores_seq0000.json"):
             assert (tmp_path / name).exists()
 
+        tracked = {name: (tmp_path / name).read_bytes()
+                   for name in ("metrics.json", "metrics.csv")}
+
         r = run_cli("eval", "--config", config_path, "--output", out)
         assert r.exit_code == 0, r.output
         echoed = json.loads(r.output)
         assert echoed["mean_mota"] == 1.0
         summary = json.loads((tmp_path / "metrics.json").read_text())
         assert summary["mean_mota"] == 1.0
-        assert (tmp_path / "metrics.csv").exists()
+        # eval writes the summary through the writer track uses
+        for name, content in tracked.items():
+            assert (tmp_path / name).read_bytes() == content, name
 
     def test_ablation_flag_recorded(self, config_path, tmp_path):
         out = str(tmp_path / "abl")
@@ -149,6 +154,39 @@ class TestTrackAndEval:
         assert summary["mean_completion_iou"] is None
         assert summary["median_rotation_error_deg"] is None
 
+    def test_eval_csv_agrees_with_metrics_json(self, tmp_path):
+        # Dumps edited after tracking, without their score files: both
+        # summary files are rewritten from what eval scored.
+        path = str(tmp_path / "config.json")
+        experiment.write_json(path, experiment.ExperimentConfig(
+            seed=1, n_sequences=2, n_frames=3, n_objects=2,
+            image_width=160, image_height=120).to_dict())
+        out = tmp_path / "out"
+        r = run_cli("track", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        for sid in range(2):
+            (out / f"scores_seq{sid:04d}.json").unlink()
+        dump_path = out / "tracklets_seq0000.json"
+        dump = json.loads(dump_path.read_text())
+        for t in dump["tracklets"]:
+            for rec in t["frames"]:
+                rec["box"]["center"][0] += 1.0
+        experiment.write_json(dump_path, dump)
+
+        r = run_cli("eval", "--config", path, "--output", str(out))
+        assert r.exit_code == 0, r.output
+        summary = json.loads((out / "metrics.json").read_text())
+        assert summary["per_sequence"]["0"]["mota"] == -1.0
+        with open(out / "metrics.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["sequence"] for row in rows] == ["0", "1"]
+        for row in rows:
+            assert float(row["mota"]) == \
+                summary["per_sequence"][row["sequence"]]["mota"]
+            # not measured without the score files
+            assert row["mean_completion_iou"] == ""
+            assert row["median_rotation_error_deg"] == ""
+
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):
         r = run_cli("eval", "--config", config_path,
                     "--output", str(tmp_path / "empty"))
@@ -174,9 +212,11 @@ class TestSweep:
         (("--fractions", "0,0.5,2"), "completion_fraction"),
         (("--fractions", "0.1234567,0.1234568"), "0.1234567 and 0.1234568"),
         (("--fractions", "0.5,0.5"), "0.5 and 0.5"),
+        (("--fractions=-0,0",), "0.0 and 0.0"),
         (("--fractions", "0,1", "--ablation", "no_completion"),
          "no_completion"),
-    ], ids=["out_of_range", "same_directory", "duplicate", "no_completion"])
+    ], ids=["out_of_range", "same_directory", "duplicate", "negative_zero",
+            "no_completion"])
     def test_rejects_sweep_before_tracking(self, config_path, tmp_path,
                                            args, named):
         r = run_cli("sweep", "--config", config_path,
@@ -189,10 +229,12 @@ class TestSweep:
 
 
 class TestErrors:
-    def test_bad_config_json(self, tmp_path):
+    @pytest.mark.parametrize("subcommand",
+                             ["generate", "track", "eval", "sweep"])
+    def test_bad_config_json(self, tmp_path, subcommand):
         bad = tmp_path / "bad.json"
         bad.write_text('{"motion": "teleport", "version": 1}')
-        r = run_cli("generate", "--config", str(bad),
+        r = run_cli(subcommand, "--config", str(bad),
                     "--output", str(tmp_path))
         assert r.exit_code == 1
         err = json.loads(r.output.strip().splitlines()[-1])
