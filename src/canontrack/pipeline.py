@@ -46,6 +46,9 @@ class SequenceData:
 
 @dataclass
 class DetectionRecord:
+    """One proposal of one frame, kept by the tracker and read by the
+    scorer; only the scorer reads gt_object_id and completion_iou."""
+
     frame: int
     proposal: detect.Proposal
     gt_object_id: int | None
@@ -129,7 +132,8 @@ def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
 
 def process_frame(data: SequenceData, frame_idx: int,
                   config: PipelineConfig) -> tuple:
-    """Returns (detections for the tracker, DetectionRecords, losses)."""
+    """Returns (losses, DetectionRecords): one record per proposal, which
+    the tracker and the scorer both read."""
     gt = data.gt_frames[frame_idx]
     surface = data.surfaces[frame_idx]
     field_rng = np.random.default_rng(
@@ -139,7 +143,6 @@ def process_frame(data: SequenceData, frame_idx: int,
     losses = detect.detection_losses(fields, targets)
     proposals = detect.mean_shift_proposals(fields)
 
-    tracker_dets = []
     records = []
     for proposal in proposals:
         gt_obj = None
@@ -156,12 +159,6 @@ def process_frame(data: SequenceData, frame_idx: int,
             pred_pose, completion_iou, canonical = _complete_detection(
                 proposal, gt_obj, frame_idx, config)
 
-        tracker_dets.append(track.Detection(
-            box=proposal.box,
-            class_id=proposal.class_id,
-            canonical=canonical,
-            pose=pred_pose,
-        ))
         records.append(DetectionRecord(
             frame=frame_idx,
             proposal=proposal,
@@ -170,7 +167,8 @@ def process_frame(data: SequenceData, frame_idx: int,
             completion_iou=completion_iou,
             canonical=canonical,
         ))
-    return tracker_dets, records, losses
+    # The records stay at index 1, where perfbench's frame trace reads them.
+    return losses, records
 
 
 def run_sequence(data: SequenceData, config: PipelineConfig) -> SequenceResult:
@@ -178,8 +176,8 @@ def run_sequence(data: SequenceData, config: PipelineConfig) -> SequenceResult:
     all_records = []
     all_losses = []
     for f in range(data.script.frame_count):
-        dets, records, losses = process_frame(data, f, config)
-        tracker.step(dets)
+        losses, records = process_frame(data, f, config)
+        tracker.step(records)
         all_records.extend(records)
         all_losses.append(losses)
     tracker.finish()

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .geom import Box3, SimilarityTransform, box_iou_3d, volumetric_iou
+from .geom import Box3, box_iou_3d, volumetric_iou
 from .voxel import binarize
 
 ASSOCIATION_IOU = 0.3
@@ -18,37 +18,26 @@ RUNNING_AVERAGE_OLD_WEIGHT = 0.8  # the 4:1 running mean
 
 
 @dataclass
-class Detection:
-    """One per-frame object proposal entering the tracker."""
-
-    box: Box3
-    class_id: int
-    canonical: np.ndarray  # (R, R, R) canonical occupancy, bool or in [0, 1]
-    pose: SimilarityTransform | None = None
-
-
-@dataclass
 class Tracklet:
     id: int
-    class_id: int
     canonical_avg: np.ndarray
-    history: list  # (frame, Box3, SimilarityTransform | None), by frame
+    history: list  # pipeline.DetectionRecord per claimed detection, by frame
 
     @property
     def first_frame(self) -> int:
-        return self.history[0][0]
+        return self.history[0].frame
 
     @property
     def last_box(self) -> Box3:
-        return self.history[-1][1]
+        return self.history[-1].proposal.box
 
     def frames(self) -> set:
-        return {f for f, _, _ in self.history}
+        return {d.frame for d in self.history}
 
 
 @dataclass
 class AssignmentResult:
-    matches: list  # (tracklet id, detection index, score)
+    matches: list  # (tracklet index, detection index)
     unmatched_detections: list  # detection indices
 
 
@@ -70,20 +59,20 @@ def gated_assignment(cost: np.ndarray, allowed: np.ndarray) -> list:
     return [(i, j) for i, j in hungarian(cost) if allowed[i, j]]
 
 
-def associate_frame(tracklets: list, detections: list) -> AssignmentResult:
-    """Match detections to tracklets by Hungarian on 1 - box IoU, rejecting
-    matches under ASSOCIATION_IOU."""
-    if not tracklets or not detections:
-        return AssignmentResult([], list(range(len(detections))))
-    iou = np.zeros((len(tracklets), len(detections)))
+def associate_frame(tracklets: list, boxes: list) -> AssignmentResult:
+    """Match detection boxes to tracklets by Hungarian on 1 - box IoU,
+    rejecting matches under ASSOCIATION_IOU."""
+    if not tracklets or not boxes:
+        return AssignmentResult([], list(range(len(boxes))))
+    iou = np.zeros((len(tracklets), len(boxes)))
     for i, t in enumerate(tracklets):
-        for j, d in enumerate(detections):
-            iou[i, j] = box_iou_3d(t.last_box, d.box)
+        for j, box in enumerate(boxes):
+            iou[i, j] = box_iou_3d(t.last_box, box)
     pairs = gated_assignment(1.0 - iou, iou >= ASSOCIATION_IOU)
     matched_d = {j for _, j in pairs}
     return AssignmentResult(
-        matches=[(tracklets[i].id, j, float(iou[i, j])) for i, j in pairs],
-        unmatched_detections=[j for j in range(len(detections))
+        matches=pairs,
+        unmatched_detections=[j for j in range(len(boxes))
                               if j not in matched_d],
     )
 
@@ -113,28 +102,29 @@ class Tracker:
         self._next_id = 0
         self._frame = 0
 
-    def _new_tracklet(self, det: Detection, frame: int) -> Tracklet:
+    def _new_tracklet(self, det) -> Tracklet:
         t = Tracklet(
             id=self._next_id,
-            class_id=det.class_id,
             canonical_avg=np.array(det.canonical, dtype=np.float64),
-            history=[(frame, det.box, det.pose)],
+            history=[det],
         )
         self._next_id += 1
         self.tracklets.append(t)
         return t
 
     def step(self, detections: list) -> AssignmentResult:
-        frame = self._frame
-        result = associate_frame(self.tracklets, detections)
-        by_id = {t.id: t for t in self.tracklets}
-        for tid, j, _ in result.matches:
-            t = by_id[tid]
-            det = detections[j]
-            t.history.append((frame, det.box, det.pose))
-            update_canonical(t, det.canonical)
+        """Track one frame's pipeline.DetectionRecords.  Reads each record's
+        `proposal.box` (association) and `canonical` (the running average);
+        the history it keeps is read for `frame` (rescue and dump),
+        `pred_pose` and `proposal.class_id` (dump)."""
+        result = associate_frame(self.tracklets,
+                                 [d.proposal.box for d in detections])
+        for i, j in result.matches:
+            t = self.tracklets[i]
+            t.history.append(detections[j])
+            update_canonical(t, detections[j].canonical)
         for j in result.unmatched_detections:
-            self._new_tracklet(detections[j], frame)
+            self._new_tracklet(detections[j])
         self._frame += 1
         return result
 
@@ -189,7 +179,7 @@ class Tracker:
     def _merge(self, base: Tracklet, orphan: Tracklet) -> None:
         # The two share no frame (coexisting tracklets never merge).
         base.history = sorted(base.history + orphan.history,
-                              key=lambda x: x[0])
+                              key=lambda d: d.frame)
         update_canonical(base, orphan.canonical_avg)
         self.tracklets.remove(orphan)
 
@@ -202,14 +192,15 @@ class Tracker:
             "tracklets": [
                 {
                     "id": t.id,
-                    "class_id": t.class_id,
+                    "class_id": t.history[0].proposal.class_id,
                     "frames": [
                         {
-                            "frame": f,
-                            "box": box.to_dict(),
-                            "pose": pose.to_dict() if pose is not None else None,
+                            "frame": d.frame,
+                            "box": d.proposal.box.to_dict(),
+                            "pose": (d.pred_pose.to_dict()
+                                     if d.pred_pose is not None else None),
                         }
-                        for f, box, pose in t.history
+                        for d in t.history
                     ],
                 }
                 for t in sorted(self.tracklets, key=lambda t: t.id)

@@ -98,6 +98,28 @@ class TestPipeline:
         assert json.dumps(a.dump, sort_keys=True) == \
             json.dumps(b.dump, sort_keys=True)
 
+    def test_dump_is_the_records(self, small_run):
+        # The tracker keeps the records the scorer reads: the dump lists
+        # each record once, with its frame, box and pose, and a tracklet's
+        # class is its first record's.
+        cfg = noisy_config()
+        data = pipeline.build_sequence_data(experiment.make_script(cfg, 0),
+                                            cfg.voxel_size)
+        noisy = pipeline.run_sequence(data, cfg.pipeline_config(0))
+        for result in (small_run[2], noisy):
+            records = {(d.frame, tuple(d.proposal.box.center)): d
+                       for d in result.detections}
+            assert len(records) == len(result.detections) > 0
+            for t in result.dump["tracklets"]:
+                for k, fr in enumerate(t["frames"]):
+                    d = records.pop((fr["frame"], tuple(fr["box"]["center"])))
+                    assert fr["box"] == d.proposal.box.to_dict()
+                    assert fr["pose"] == (None if d.pred_pose is None
+                                          else d.pred_pose.to_dict())
+                    if k == 0:
+                        assert t["class_id"] == d.proposal.class_id
+            assert records == {}
+
     def test_degradation_changes_output(self, small_run):
         config, data, result = small_run
         noisy_cfg = small_config(noc_noise=0.05, occupancy_flip_rate=0.05)

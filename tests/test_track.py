@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+from canontrack.detect import Proposal
 from canontrack.geom import Box3
-from canontrack.track import (RUNNING_AVERAGE_OLD_WEIGHT, Detection, Tracker,
-                              Tracklet, associate_frame, hungarian,
-                              update_canonical)
+from canontrack.pipeline import DetectionRecord
+from canontrack.track import (RUNNING_AVERAGE_OLD_WEIGHT, Tracker, Tracklet,
+                              associate_frame, hungarian, update_canonical)
+from canontrack.voxel import OBJECT_RESOLUTION
 
 
 def brute_force_cost(cost):
@@ -31,11 +33,23 @@ def grid(*on, res=8):
     return g
 
 
-def det(center, extents=(1.0, 1.0, 1.0), canonical=None):
-    return Detection(
-        box=Box3(center, extents),
-        class_id=0,
-        canonical=grid((0, 0, 0)) if canonical is None else canonical,
+def box(center):
+    return Box3(center, [1, 1, 1])
+
+
+def det(frame, center, canonical=None):
+    """The record pipeline.process_frame makes for a class-0 proposal with a
+    unit box that matches no ground-truth object; `canonical` replaces its
+    empty canonical grid."""
+    if canonical is None:
+        canonical = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
+    return DetectionRecord(
+        frame=frame,
+        proposal=Proposal(box(center), 0, 1.0, np.zeros(0, dtype=np.int64)),
+        gt_object_id=None,
+        pred_pose=None,
+        completion_iou=None,
+        canonical=canonical,
     )
 
 
@@ -73,35 +87,32 @@ class TestHungarian:
 
 class TestAssociateFrame:
     def tracklet(self, tid, center):
-        return Tracklet(id=tid, class_id=0,
-                        canonical_avg=grid((0, 0, 0)),
-                        history=[(0, Box3(center, [1, 1, 1]), None)])
+        return Tracklet(id=tid, canonical_avg=grid((0, 0, 0)),
+                        history=[det(0, center)])
 
     def test_exact_matches(self):
         ts = [self.tracklet(0, [0, 0, 0]), self.tracklet(1, [5, 0, 0])]
-        ds = [det([5, 0, 0]), det([0, 0, 0])]
-        r = associate_frame(ts, ds)
-        assert sorted(r.matches) == [(0, 1, 1.0), (1, 0, 1.0)]
+        r = associate_frame(ts, [box([5, 0, 0]), box([0, 0, 0])])
+        assert r.matches == [(0, 1), (1, 0)]
         assert r.unmatched_detections == []
 
     def test_low_iou_rejected(self):
         # shifted by 0.8 of the side: IoU = 0.2/1.8 = 0.111 < 0.3
         ts = [self.tracklet(0, [0, 0, 0])]
-        ds = [det([0.8, 0, 0])]
-        r = associate_frame(ts, ds)
+        r = associate_frame(ts, [box([0.8, 0, 0])])
         assert r.matches == []
         assert r.unmatched_detections == [0]
 
     def test_iou_threshold_boundary(self):
         # shift s gives IoU (1-s)/(1+s); s = 0.538 -> exactly just above 0.3
         ts = [self.tracklet(0, [0, 0, 0])]
-        just_in = det([7.0 / 13.0 - 1e-6, 0, 0])  # IoU slightly > 0.3
-        just_out = det([7.0 / 13.0 + 1e-3, 0, 0])  # IoU < 0.3
+        just_in = box([7.0 / 13.0 - 1e-6, 0, 0])  # IoU slightly > 0.3
+        just_out = box([7.0 / 13.0 + 1e-3, 0, 0])  # IoU < 0.3
         assert associate_frame(ts, [just_in]).matches != []
         assert associate_frame(ts, [just_out]).matches == []
 
     def test_empty_inputs(self):
-        r = associate_frame([], [det([0, 0, 0])])
+        r = associate_frame([], [box([0, 0, 0])])
         assert r.unmatched_detections == [0]
         r = associate_frame([self.tracklet(0, [0, 0, 0])], [])
         assert r.matches == [] and r.unmatched_detections == []
@@ -110,30 +121,26 @@ class TestAssociateFrame:
         # greedy would give t0 the center detection, forcing t1 below gate;
         # Hungarian takes the overall best pairing
         ts = [self.tracklet(0, [0, 0, 0]), self.tracklet(1, [0.5, 0, 0])]
-        ds = [det([0.25, 0, 0]), det([-0.1, 0, 0])]
-        r = associate_frame(ts, ds)
-        assert dict((t, d) for t, d, _ in r.matches) == {0: 1, 1: 0}
+        r = associate_frame(ts, [box([0.25, 0, 0]), box([-0.1, 0, 0])])
+        assert dict(r.matches) == {0: 1, 1: 0}
 
 
 class TestUpdateCanonical:
     def test_four_to_one_weighting(self):
-        t = Tracklet(id=0, class_id=0, canonical_avg=np.ones((2, 2, 2)),
-                     history=[])
+        t = Tracklet(id=0, canonical_avg=np.ones((2, 2, 2)), history=[])
         update_canonical(t, np.zeros((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 0.8)
         update_canonical(t, np.zeros((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 0.64)
 
     def test_geometric_series_limit(self):
-        t = Tracklet(id=0, class_id=0, canonical_avg=np.zeros((2, 2, 2)),
-                     history=[])
+        t = Tracklet(id=0, canonical_avg=np.zeros((2, 2, 2)), history=[])
         for _ in range(200):
             update_canonical(t, np.ones((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 1.0, atol=1e-9)
 
     def test_dims_mismatch(self):
-        t = Tracklet(id=0, class_id=0, canonical_avg=np.zeros((2, 2, 2)),
-                     history=[])
+        t = Tracklet(id=0, canonical_avg=np.zeros((2, 2, 2)), history=[])
         with pytest.raises(ValueError):
             update_canonical(t, np.zeros((3, 3, 3)))
 
@@ -152,11 +159,11 @@ class TestUpdateCanonical:
         shape = rng.random((8, 8, 8)) < 0.5
         grids = [shape ^ (rng.random(shape.shape) < 0.05) for _ in range(8)]
         tracker = Tracker()
-        for g in grids[:4]:  # frames 0-3
-            tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, g)])
+        for f, g in enumerate(grids[:4]):  # frames 0-3
+            tracker.step([det(f, [0, 0, 0], g)])
         tracker.step([])  # frame 4: lost
-        for g in grids[4:]:  # frames 5-8, far away
-            tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, g)])
+        for f, g in enumerate(grids[4:], start=5):  # frames 5-8, far away
+            tracker.step([det(f, [10, 0, 0], g)])
         first, second = average(grids[:4]), average(grids[4:])
         assert [t.canonical_avg.tobytes() for t in tracker.tracklets] == [
             first.tobytes(), second.tobytes()]
@@ -172,9 +179,9 @@ class TestRescueMatch:
     @staticmethod
     def merged(first, second):
         tracker = Tracker()
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, first)])
+        tracker.step([det(0, [0, 0, 0], first)])
         tracker.step([])
-        tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, second)])
+        tracker.step([det(2, [10, 0, 0], second)])
         return len(tracker.finish()) == 1
 
     def test_same_shape_matches(self):
@@ -208,26 +215,27 @@ class TestTracker:
     def test_continuous_track_single_id(self):
         tracker = Tracker()
         for f in range(5):
-            tracker.step([det([0.02 * f, 0, 0])])
+            tracker.step([det(f, [0.02 * f, 0, 0])])
         tracker.finish()
         assert len(tracker.tracklets) == 1
         assert tracker.tracklets[0].frames() == set(range(5))
 
     def test_new_object_new_id(self):
         tracker = Tracker()
-        tracker.step([det([0, 0, 0])])
-        tracker.step([det([0, 0, 0]), det([10, 0, 0], canonical=grid((5, 5, 5)))])
+        tracker.step([det(0, [0, 0, 0])])
+        tracker.step([det(1, [0, 0, 0]),
+                      det(1, [10, 0, 0], canonical=grid((5, 5, 5)))])
         tracker.finish()
         assert sorted(t.id for t in tracker.tracklets) == [0, 1]
 
     def test_rescue_merges_reappearing_object(self):
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
         tracker = Tracker()
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, shape)])
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, shape)])
+        tracker.step([det(0, [0, 0, 0], shape)])
+        tracker.step([det(1, [0, 0, 0], shape)])
         tracker.step([])  # lost
         # reappears far away: box association fails, canonical rescue merges
-        tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, shape)])
+        tracker.step([det(3, [10, 0, 0], shape)])
         tracker.finish()
         assert len(tracker.tracklets) == 1
         t = tracker.tracklets[0]
@@ -238,9 +246,9 @@ class TestTracker:
     def test_rescue_disabled(self):
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
         tracker = Tracker(enable_rescue=False)
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, shape)])
+        tracker.step([det(0, [0, 0, 0], shape)])
         tracker.step([])
-        tracker.step([Detection(Box3([10, 0, 0], [1, 1, 1]), 0, shape)])
+        tracker.step([det(2, [10, 0, 0], shape)])
         tracker.finish()
         assert len(tracker.tracklets) == 2
 
@@ -248,9 +256,8 @@ class TestTracker:
         # same canonical shape but temporally overlapping: distinct objects
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
         tracker = Tracker()
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, shape)])
-        tracker.step([Detection(Box3([0, 0, 0], [1, 1, 1]), 0, shape),
-                      Detection(Box3([10, 0, 0], [1, 1, 1]), 0, shape)])
+        tracker.step([det(0, [0, 0, 0], shape)])
+        tracker.step([det(1, [0, 0, 0], shape), det(1, [10, 0, 0], shape)])
         tracker.finish()
         assert len(tracker.tracklets) == 2
 
@@ -258,20 +265,20 @@ class TestTracker:
         # one object seen in three disjoint episodes collapses to one track
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
         tracker = Tracker()
-        boxes = {0: [0, 0, 0], 2: [10, 0, 0], 4: [20, 0, 0]}
+        centers = {0: [0, 0, 0], 2: [10, 0, 0], 4: [20, 0, 0]}
         for f in range(6):
-            if f in boxes:
-                tracker.step([Detection(Box3(boxes[f], [1, 1, 1]), 0, shape)])
-            else:
-                tracker.step([])
+            tracker.step([det(f, centers[f], shape)] if f in centers else [])
         tracker.finish()
         assert len(tracker.tracklets) == 1
         assert tracker.tracklets[0].frames() == {0, 2, 4}
+        (dumped,) = tracker.dump()["tracklets"]
+        assert [(fr["frame"], fr["box"]["center"][0])
+                for fr in dumped["frames"]] == [(0, 0.0), (2, 10.0), (4, 20.0)]
 
     def test_dump_round_trip_shape(self):
         tracker = Tracker()
-        tracker.step([det([0, 0, 0])])
-        tracker.step([det([0, 0, 0])])
+        tracker.step([det(0, [0, 0, 0])])
+        tracker.step([det(1, [0, 0, 0])])
         tracker.finish()
         dump = tracker.dump()
         assert dump["version"] == 1
