@@ -86,10 +86,6 @@ def build_sequence_data(script: synth.SceneScript,
     gt_frames = []
     surfaces = []
     for f in range(script.frame_count):
-        # `grid` holds the previous frame's fused grid until this frame's is
-        # made.  Freed before rendering, its memory goes back to the system
-        # and fusion faults it in again: up to three times the page faults
-        # per build on the `noisy` benchmark workload.
         empty = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size)
         depth, gt = synth.render_frame(script, f,
                                        visibility_band=empty.truncation)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import multiprocessing
+import resource
 import shutil
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -9,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import canontrack
 from canontrack import experiment, pipeline, synth, track
 
 
@@ -130,6 +132,34 @@ class TestPipeline:
             clean_scores["mean_completion_iou"]
         assert scores["median_rotation_error_deg"] > \
             clean_scores["median_rotation_error_deg"]
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not canontrack._on_glibc(), reason="glibc only")
+    def test_tracking_faults_no_fresh_pages(self, small_run):
+        # Freed per-detection arrays stay in the heap, so once warm a
+        # sequence is tracked without the kernel zeroing new pages for it.
+        config, data, _ = small_run
+        pipeline.run_sequence(data, config.pipeline_config(0))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        pipeline.run_sequence(data, config.pipeline_config(0))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 100 * data.script.frame_count
+
+    def test_libc_without_mallopt(self):
+        canontrack._keep_freed_memory(object())
+
+    def test_sets_the_mmap_and_trim_thresholds(self):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        canontrack._keep_freed_memory(Libc())
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 256 MiB
+        assert sorted(calls) == [(-3, 33554432), (-1, 268435456)]
 
 
 class TestExperimentConfig:
