@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import Box3
+from .geom import Box3, per_column
 from .voxel import SparseSurfaceGrid, nearest_voxel
 
 if TYPE_CHECKING:
@@ -231,7 +231,8 @@ def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
         hit = nearest_voxel(obj.template.dilated_occupancy, canon)
         gidx = np.nonzero(free)[0][hit]
         owner[gidx] = oi
-        c_t[gidx] = (obj.box.center - centers[gidx]) / surface.voxel_size
+        c_t[gidx] = (per_column(np.subtract, obj.box.center, centers[gidx])
+                     / surface.voxel_size)
         d_t[gidx] = obj.box.extents / surface.voxel_size
         class_t[gidx] = obj.class_id
 

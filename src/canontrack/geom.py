@@ -12,6 +12,42 @@ def _as_vec3(x) -> np.ndarray:
     return v
 
 
+# Per-point arithmetic on (N, 3) arrays, one column at a time.  numpy runs
+# (N, 3) combined with a 3-vector, and a reduction over axis 0, as an inner
+# loop three elements long; a column is one loop N elements long.  Each helper
+# gives the broadcast's or the reduction's result bit for bit.
+
+def per_column(ufunc, a, b, out=None) -> np.ndarray:
+    """`ufunc(a, b)` for an elementwise arithmetic ufunc (add, subtract,
+    multiply) and operands that broadcast to (..., 3): an (N, 3) array and
+    a 3-vector in either order, or (N, 1) against (N, 3)."""
+    a, b = np.asarray(a), np.asarray(b)
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+    for c in range(out.shape[-1]):
+        # an operand one wide in its last axis is broadcast along it
+        ufunc(a[..., c % a.shape[-1]], b[..., c % b.shape[-1]],
+              out=out[..., c])
+    return out
+
+
+def column_means(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=0)` of a C-ordered (N, 3) array with N > 0.
+
+    numpy reduces axis 0 of such an array by adding its rows in order,
+    starting from +0.0; so does a running sum (cumsum) of each column, up to
+    the sign of an all −0.0 column's sum, which adding +0.0 sets.  A pairwise
+    `x[:, c].sum()` adds in another order and differs in the last bits
+    (tests/test_columns.py holds an input where it does).
+    """
+    n = len(x)
+    run = np.empty(n)
+    sums = np.array([np.cumsum(x[:, c], out=run)[-1]
+                     for c in range(x.shape[1])])
+    sums += 0.0
+    return sums / n
+
+
 @dataclass
 class SimilarityTransform:
     """Maps canonical-space points into frame space: p -> scale * R @ p + t."""
@@ -38,8 +74,7 @@ class SimilarityTransform:
         out = np.asarray(points, dtype=np.float64) @ self.rotation.T
         # The product is a new array: scale and shift it in place.
         out *= self.scale
-        out += self.translation
-        return out
+        return per_column(np.add, out, self.translation, out=out)
 
     def inverse(self) -> "SimilarityTransform":
         inv_scale = 1.0 / self.scale

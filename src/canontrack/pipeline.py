@@ -11,7 +11,7 @@ import numpy as np
 from . import complete, detect, pose, synth, track
 from .geom import box_iou_3d, volumetric_iou
 from .voxel import (OBJECT_RESOLUTION, DenseTsdfGrid, extract_surface,
-                    fuse_depth_frame)
+                    flat_index, fuse_depth_frame, lattice_coords)
 
 GT_MATCH_IOU = 0.05  # proposal -> ground-truth pairing for the oracles
 
@@ -98,12 +98,15 @@ def build_sequence_data(script: synth.SceneScript,
 
 def _scatter_canonical(coords: np.ndarray) -> np.ndarray:
     """Nearest-neighbor scatter of (N, 3) canonical coordinates onto the
-    canonical lattice as a bool grid; collisions max-pool (binary or)."""
-    grid = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
-    idx = np.clip(np.floor(coords * OBJECT_RESOLUTION).astype(np.int64),
-                  0, OBJECT_RESOLUTION - 1)
-    grid[idx[:, 0], idx[:, 1], idx[:, 2]] = True
-    return grid
+    canonical lattice as a bool grid; collisions max-pool (binary or).
+    Lattice coordinates are clipped to the lattice, then set by one flat
+    index."""
+    res = OBJECT_RESOLUTION
+    idx = lattice_coords(coords, res)
+    np.clip(idx, 0, res - 1, out=idx)
+    grid = np.zeros(res ** 3, dtype=bool)
+    grid[flat_index(idx, res).astype(np.int64)] = True
+    return grid.reshape((res,) * 3)
 
 
 def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import SimilarityTransform, yaw_rotation
+from .geom import SimilarityTransform, column_means, per_column, yaw_rotation
 
 # Discrete rotations about the canonical up axis (+z) that leave the shape
 # of each symmetry kind invariant.  Cylindrical symmetry is continuous and
@@ -47,16 +47,23 @@ def umeyama_solve(corr: CorrespondenceSet) -> SimilarityTransform:
     diag(1, 1, det(UV^T)), so the returned rotation is always proper.
     Planar point sets are fine; collinear or coincident ones raise
     DegenerateCorrespondences.
+
+    The means add each column's points in order (geom.column_means) and the
+    centring subtracts them per column (geom.per_column), which reproduces
+    `mean(axis=0)` and the broadcast subtraction bit for bit; TestColumnMeans
+    and TestUmeyama in tests/test_columns.py pin that order.  The
+    variance is numpy's pairwise sum over the centred canonical points, and
+    the cross-covariance one BLAS product.
     """
     eps = 1e-9  # variance, singular value and scale below this are degenerate
     pn = corr.canonical
     po = corr.observed
     n = len(pn)
 
-    mu_n = pn.mean(axis=0)
-    mu_o = po.mean(axis=0)
-    qn = pn - mu_n
-    qo = po - mu_o
+    mu_n = column_means(pn)
+    mu_o = column_means(po)
+    qn = per_column(np.subtract, pn, mu_n)
+    qo = per_column(np.subtract, po, mu_o)
 
     var_n = (qn ** 2).sum() / n
     if var_n <= eps:

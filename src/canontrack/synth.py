@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geom import Box3, SimilarityTransform, yaw_rotation
+from .geom import Box3, SimilarityTransform, per_column, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
                     depth_at, nearest_voxel)
 
@@ -349,6 +349,12 @@ def _ray_box(o, d, lo, hi):
     return tmin, tmax
 
 
+def _ray_points(origin, s, dirs) -> np.ndarray:
+    """(N, 3) points origin + s[:, None] * dirs, computed per column."""
+    points = per_column(np.multiply, s[:, None], dirs)
+    return per_column(np.add, origin, points, out=points)
+
+
 def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
     """First-hit ray parameter against a canonical occupancy, inf for misses.
 
@@ -375,8 +381,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
         if len(active) == 0:
             break
         s = np.minimum(s0c[active] + (k + 0.5) * ds[active], s1c[active])
-        p = origin_c[None, :] + s[:, None] * d_cand[active]
-        occ = nearest_voxel(bits, p)
+        occ = nearest_voxel(bits, _ray_points(origin_c, s, d_cand[active]))
         if occ.any():
             found[active[occ]] = s[occ]
             active = active[~occ]
@@ -389,7 +394,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
         d_g = d_cand[gi]
         for _ in range(REFINE_ITERS):
             mid = 0.5 * (lo_s + hi_s)
-            occ = nearest_voxel(bits, origin_c[None, :] + mid[:, None] * d_g)
+            occ = nearest_voxel(bits, _ray_points(origin_c, mid, d_g))
             hi_s = np.where(occ, mid, hi_s)
             lo_s = np.where(occ, lo_s, mid)
         hit[cand[gi]] = hi_s

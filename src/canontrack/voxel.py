@@ -11,29 +11,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import Box3, SimilarityTransform
+from .geom import Box3, SimilarityTransform, per_column
 
 # Side of every object-space grid: template occupancy, completion crop and
 # canonical reconstruction.  The three must agree for their IoUs to be defined.
 OBJECT_RESOLUTION = 64
 
 
+def lattice_coords(points: np.ndarray, res: int) -> np.ndarray:
+    """(3, ...) lattice coordinates floor(points[..., c] * res) of (..., 3)
+    points in the unit cube, scaled one column at a time; floats, so that a
+    point off the lattice or NaN is never cast."""
+    idx = np.empty((3,) + points.shape[:-1])
+    for c in range(3):
+        np.multiply(points[..., c], res, out=idx[c, ...])
+    return np.floor(idx, out=idx)
+
+
+def flat_index(idx: np.ndarray, res: int) -> np.ndarray:
+    """Flat C-order index (i * res + j) * res + k of (3, ...) lattice
+    coordinates, as floats."""
+    flat = idx[0] * res
+    flat += idx[1]
+    flat *= res
+    flat += idx[2]
+    return flat
+
+
 def nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Value of the voxel of `grid` that contains each point.
 
     `grid` spans the unit cube with shape (R, R, R) or (R, R, R, C);
-    `points` has shape (..., 3).  Points outside the cube read zero.
-    Bounds are checked per column on the floored coordinates, and only the
-    flat indices of points inside are made integers.
+    `points` has shape (..., 3).  Points outside the cube [0, 1)^3, and NaN
+    points, read zero.  Only the flat indices of the points whose three
+    lattice coordinates lie in [0, R) are made integers.
     """
     res = grid.shape[0]
-    idx = points * res
-    np.floor(idx, out=idx)
-    i, j, k = idx[..., 0], idx[..., 1], idx[..., 2]
-    ok = (i >= 0) & (i < res) & (j >= 0) & (j < res) & (k >= 0) & (k < res)
-    flat = ((i * res + j) * res + k)[ok].astype(np.int64)
+    idx = lattice_coords(points, res)
+    inside = (idx >= 0) & (idx < res)
+    sel = np.flatnonzero(inside[0] & inside[1] & inside[2])
+    cells = grid.reshape((res ** 3,) + grid.shape[3:])
     out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
-    out[ok] = grid.reshape((res ** 3,) + grid.shape[3:]).take(flat, axis=0)
+    out.reshape((-1,) + grid.shape[3:])[sel] = cells.take(
+        flat_index(idx, res).reshape(-1).take(sel).astype(np.int64), axis=0)
     return out
 
 
@@ -109,7 +129,11 @@ class SparseSurfaceGrid:
         return self.coords.shape[0]
 
     def centers(self) -> np.ndarray:
-        return self.origin + (self.coords + 0.5) * self.voxel_size
+        """(N, 3) world-space voxel centers: origin + (coords + 0.5) *
+        voxel_size."""
+        centers = self.coords + 0.5
+        centers *= self.voxel_size
+        return per_column(np.add, self.origin, centers, out=centers)
 
 
 @dataclass

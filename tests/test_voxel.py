@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,49 @@ class TestLattice:
         channels = np.stack([grid, -grid], axis=-1)
         assert nearest_voxel(channels, points[:2]).tolist() == [[1, -1], [7, -7]]
 
+
+    def test_nearest_voxel_nan_reads_zero_without_warning(self):
+        grid = np.ones((4, 4, 4), dtype=np.uint8)
+        points = np.array([[np.nan, 0.5, 0.5], [0.5, np.nan, 0.5],
+                           [0.5, 0.5, np.nan], [np.nan] * 3, [0.5] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_voxel(grid, points)
+        assert got.tolist() == [0, 0, 0, 0, 1]
+
+    def test_nearest_voxel_cube_faces(self):
+        grid = np.ones((4, 4, 4), dtype=np.uint8)
+        below_zero = np.nextafter(0.0, -1.0)
+        inside = [0.0, -0.0, 0.5, np.nextafter(1.0, 0.0)]
+        outside = [1.0, below_zero]
+        for c in range(3):
+            for value, want in [(v, 1) for v in inside] + \
+                               [(v, 0) for v in outside]:
+                point = np.full(3, 0.5)
+                point[c] = value
+                assert nearest_voxel(grid, point) == want, (c, value)
+
+    def test_nearest_voxel_shapes(self):
+        rng = np.random.default_rng(0)
+        grid = rng.integers(1, 9, (4, 4, 4))
+        channels = rng.random((4, 4, 4, 2))
+        one = nearest_voxel(grid, np.array([0.1, 0.3, 0.9]))
+        assert one.shape == () and one == grid[0, 1, 3]
+        assert nearest_voxel(channels, np.array([0.1, 0.3, 0.9])).tolist() \
+            == channels[0, 1, 3].tolist()
+        empty = np.zeros((0, 3))
+        assert nearest_voxel(grid, empty).shape == (0,)
+        assert nearest_voxel(channels, empty).shape == (0, 2)
+        points = rng.uniform(-0.5, 1.5, (6, 5, 3))
+        got = nearest_voxel(channels, points)
+        assert got.shape == (6, 5, 2)
+        for a in range(6):
+            for b in range(5):
+                idx = np.floor(points[a, b] * 4).astype(int)
+                if np.all((idx >= 0) & (idx < 4)):
+                    assert got[a, b].tolist() == channels[tuple(idx)].tolist()
+                else:
+                    assert got[a, b].tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("res", [1, 2, 5, 64])
     def test_nearest_voxel_matches_reference(self, res):
