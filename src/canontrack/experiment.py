@@ -156,20 +156,18 @@ def score_sequence(result: pipeline.SequenceResult,
                    config: ExperimentConfig) -> dict:
     """All per-sequence metrics from a pipeline result."""
     gt_by_id = {}
-    for gt in result.gt_frames:
-        for o in gt.objects:
-            gt_by_id[(gt.index, o.object_id)] = o
-
-    pose_pairs = []
-    det_scored = []
-    comp_scored = []
     gt_det = []
     gt_comp = []
     for gt in result.gt_frames:
         for o in gt.objects:
+            gt_by_id[(gt.index, o.object_id)] = o
             gt_det.append(metrics.GroundTruthInstance(gt.index, o.class_id, o.box))
             gt_comp.append(metrics.GroundTruthInstance(
                 gt.index, o.class_id, o.template.canonical_occupancy.bits))
+
+    pose_pairs = []
+    det_scored = []
+    comp_scored = []
     for d in result.detections:
         det_scored.append(metrics.ScoredDetection(
             d.frame, d.proposal.class_id, d.proposal.mean_objectness,

@@ -20,7 +20,6 @@ class TrackRecord:
 
     track_id: int
     center: np.ndarray
-    class_id: int = 0  # read by nothing: MOTA matches by distance only
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
@@ -63,7 +62,9 @@ def mota(pred_frames: dict, gt_frames: dict,
          gate: float = MOTA_GATE) -> MotaBreakdown:
     """CLEAR-MOT accuracy.
 
-    `pred_frames` / `gt_frames` map frame index -> list of TrackRecord.
+    `pred_frames` / `gt_frames` map frame index -> list of TrackRecord, each
+    a track id and a centre: the centres are gated and matched, and the ids
+    carry correspondences from frame to frame.
     Existing ground-truth/prediction correspondences persist while both are
     present and within the gate; remaining pairs are matched by Hungarian on
     center distance; unmatched ground truth counts as misses, unmatched

@@ -124,7 +124,7 @@ def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
         try:
             pred_pose = pose.solve_pose(out.noc, out.centers)
         except pose.DegenerateCorrespondences:
-            pred_pose = None
+            pass
     return (pred_pose, volumetric_iou(out.occupancy, out.full),
             _scatter_canonical(out.noc))
 

@@ -3,8 +3,6 @@ symmetry-aware rotation error."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geom import SimilarityTransform, column_means, per_column, yaw_rotation
@@ -25,28 +23,15 @@ class DegenerateCorrespondences(ValueError):
     expected to fall back (e.g. to the previous-frame pose)."""
 
 
-@dataclass
-class CorrespondenceSet:
-    canonical: np.ndarray  # (N, 3) points in [0,1]^3
-    observed: np.ndarray  # (N, 3) frame-space points, meters
-
-    def __post_init__(self):
-        self.canonical = np.asarray(self.canonical, dtype=np.float64).reshape(-1, 3)
-        self.observed = np.asarray(self.observed, dtype=np.float64).reshape(-1, 3)
-        if len(self.canonical) != len(self.observed):
-            raise ValueError("point lists must have equal length")
-        if len(self.canonical) < 3:
-            raise ValueError("need at least 3 correspondences")
-
-
-def umeyama_solve(corr: CorrespondenceSet) -> SimilarityTransform:
+def solve_pose(canonical: np.ndarray, observed: np.ndarray) -> SimilarityTransform:
     """Least-squares scale/rotation/translation mapping canonical points onto
-    observed points.
+    observed points (Umeyama 1991); both are read as (N, 3) float64.
 
     Uses the SVD of the cross-covariance with the determinant correction
     diag(1, 1, det(UV^T)), so the returned rotation is always proper.
-    Planar point sets are fine; collinear or coincident ones raise
-    DegenerateCorrespondences.
+    Point lists of different lengths, or of fewer than 3 points, raise
+    ValueError.  Planar point sets are fine; collinear or coincident ones
+    raise DegenerateCorrespondences.
 
     The means add each column's points in order (geom.column_means) and the
     centring subtracts them per column (geom.per_column), which reproduces
@@ -56,9 +41,13 @@ def umeyama_solve(corr: CorrespondenceSet) -> SimilarityTransform:
     the cross-covariance one BLAS product.
     """
     eps = 1e-9  # variance, singular value and scale below this are degenerate
-    pn = corr.canonical
-    po = corr.observed
+    pn = np.asarray(canonical, dtype=np.float64).reshape(-1, 3)
+    po = np.asarray(observed, dtype=np.float64).reshape(-1, 3)
     n = len(pn)
+    if n != len(po):
+        raise ValueError("point lists must have equal length")
+    if n < 3:
+        raise ValueError("need at least 3 correspondences")
 
     mu_n = column_means(pn)
     mu_o = column_means(po)
@@ -84,10 +73,6 @@ def umeyama_solve(corr: CorrespondenceSet) -> SimilarityTransform:
         raise DegenerateCorrespondences("non-positive recovered scale")
     trans = mu_o - scale * rot @ mu_n
     return SimilarityTransform(scale, rot, trans)
-
-
-def solve_pose(canonical: np.ndarray, observed: np.ndarray) -> SimilarityTransform:
-    return umeyama_solve(CorrespondenceSet(canonical, observed))
 
 
 def _geodesic_angle_deg(relative: np.ndarray) -> float:

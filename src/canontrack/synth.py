@@ -55,8 +55,6 @@ class ObjectTemplate:
     id: str
     kind: str
     canonical_occupancy: OccupancyGrid
-    class_id: int
-    symmetry: str
     physical_scale: np.ndarray  # full extents, meters
 
     def __post_init__(self):
@@ -155,7 +153,7 @@ def make_template(kind: str, physical_scale,
     """Build a procedural template of the given kind and physical size."""
     if kind not in TEMPLATE_KINDS:
         raise ValueError(f"unknown template kind {kind!r}")
-    class_id, symmetry, square = TEMPLATE_KINDS[kind]
+    _, _, square = TEMPLATE_KINDS[kind]
     scale = np.asarray(physical_scale, dtype=np.float64).reshape(3).copy()
     if square:
         scale[0] = scale[1] = max(scale[0], scale[1])
@@ -171,8 +169,6 @@ def make_template(kind: str, physical_scale,
         id=template_id or kind,
         kind=kind,
         canonical_occupancy=OccupancyGrid(bits),
-        class_id=class_id,
-        symmetry=symmetry,
         physical_scale=scale,
     )
 
@@ -453,14 +449,15 @@ def render_frame(script: SceneScript, frame_idx: int,
         pc = cam_inv.apply(w)
         d_px = depth_at(depth, intr, pc)
         vis = (d_px > 0) & (np.abs(d_px - pc[:, 2]) < visibility_band)
+        class_id, symmetry, _ = TEMPLATE_KINDS[template.kind]
         objects.append(
             GroundTruthObject(
                 object_id=oi,
-                class_id=template.class_id,
+                class_id=class_id,
                 template=template,
                 pose=pose,
                 box=posed_bbox(template, pose),
-                symmetry=template.symmetry,
+                symmetry=symmetry,
                 visible_voxels=surf[vis],
             )
         )
@@ -544,7 +541,6 @@ def make_random_script(
     for i in range(n_objects):
         positions.append(sample_position(positions[:i]))
         yaws.append(rng.uniform(0, 2 * np.pi))
-    positions = [np.array(p) for p in positions]
 
     object_poses = []
     for f in range(n_frames):

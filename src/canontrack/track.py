@@ -9,7 +9,6 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .geom import Box3, box_iou_3d, volumetric_iou
-from .voxel import binarize
 
 ASSOCIATION_IOU = 0.3
 RESCUE_IOU = 0.3
@@ -75,6 +74,12 @@ def associate_frame(tracklets: list, boxes: list) -> AssignmentResult:
         unmatched_detections=[j for j in range(len(boxes))
                               if j not in matched_d],
     )
+
+
+def binarize(values: np.ndarray) -> np.ndarray:
+    """bool grid, occupied where value >= BINARIZE_THRESHOLD (inclusive at
+    the boundary)."""
+    return values >= BINARIZE_THRESHOLD
 
 
 def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray) -> None:
@@ -155,7 +160,7 @@ class Tracker:
                         and not frames[i] & frames[k]]
             # Averages change only in _merge, after the IoU matrix is built,
             # so each tracklet is binarized once per round.
-            bits = {k: binarize(candidates[k].canonical_avg, BINARIZE_THRESHOLD)
+            bits = {k: binarize(candidates[k].canonical_avg)
                     for k in ({i for i, _ in eligible}
                               | {orphans[j] for _, j in eligible})}
             iou = np.zeros((len(candidates), len(orphans)))
@@ -163,11 +168,12 @@ class Tracker:
                 iou[i, j] = volumetric_iou(bits[i], bits[orphans[j]])
             pairs = [(candidates[i], candidates[orphans[j]]) for i, j
                      in gated_assignment(1.0 - iou, iou >= RESCUE_IOU)]
-            # Apply non-conflicting merges (a base absorbed this round cannot
-            # also be merged away).
+            # Each orphan is one column of the one-to-one assignment, so it
+            # meets at most one base; but a base may itself be an orphan
+            # absorbed earlier in this round, and then it no longer exists.
             absorbed = set()
             for base, orphan in pairs:
-                if id(base) in absorbed or id(orphan) in absorbed:
+                if id(base) in absorbed:
                     continue
                 self._merge(base, orphan)
                 absorbed.add(id(orphan))

@@ -223,9 +223,3 @@ def extract_surface(grid: DenseTsdfGrid, band: float | None = None) -> SparseSur
     mask = (grid.weights > 0) & (np.abs(grid.values) < band)
     coords = np.argwhere(mask)
     return SparseSurfaceGrid(coords, grid.origin, grid.voxel_size)
-
-
-def binarize(values: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """bool grid, occupied where value >= threshold (inclusive at the
-    boundary)."""
-    return np.asarray(values, dtype=np.float64) >= threshold

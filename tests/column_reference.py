@@ -11,7 +11,7 @@ from canontrack.voxel import OBJECT_RESOLUTION
 
 def umeyama_solve(canonical: np.ndarray,
                   observed: np.ndarray) -> SimilarityTransform:
-    """pose.umeyama_solve with `mean(axis=0)` means and broadcast centring."""
+    """pose.solve_pose with `mean(axis=0)` means and broadcast centring."""
     eps = 1e-9
     pn = np.asarray(canonical, dtype=np.float64).reshape(-1, 3)
     po = np.asarray(observed, dtype=np.float64).reshape(-1, 3)

@@ -15,7 +15,7 @@ from noc_reference import lattice_centers
 
 def make_template(kind: str, physical_scale) -> ObjectTemplate:
     """The template built by evaluating the shape on every lattice center."""
-    class_id, symmetry, square = TEMPLATE_KINDS[kind]
+    _, _, square = TEMPLATE_KINDS[kind]
     scale = np.asarray(physical_scale, dtype=np.float64).reshape(3).copy()
     if square:
         scale[0] = scale[1] = max(scale[0], scale[1])
@@ -26,7 +26,6 @@ def make_template(kind: str, physical_scale) -> ObjectTemplate:
     bits = _shape_mask(kind, u[..., 0], u[..., 1], u[..., 2])
     return ObjectTemplate(id=kind, kind=kind,
                           canonical_occupancy=OccupancyGrid(bits),
-                          class_id=class_id, symmetry=symmetry,
                           physical_scale=scale)
 
 
@@ -139,7 +138,8 @@ def render_frame(script: SceneScript, frame_idx: int,
         d_px = depth_at(depth, intr, pc)
         vis = (d_px > 0) & (np.abs(d_px - pc[:, 2]) < visibility_band)
         objects.append(GroundTruthObject(
-            object_id=oi, class_id=template.class_id, template=template,
-            pose=pose, box=posed_bbox(template, pose),
-            symmetry=template.symmetry, visible_voxels=surf[vis]))
+            object_id=oi, class_id=TEMPLATE_KINDS[template.kind][0],
+            template=template, pose=pose, box=posed_bbox(template, pose),
+            symmetry=TEMPLATE_KINDS[template.kind][1],
+            visible_voxels=surf[vis]))
     return depth, GroundTruthFrame(frame_idx, cam, objects)

@@ -19,7 +19,7 @@ from scipy.stats import spearmanr
 from canontrack import experiment, pipeline, synth
 from canontrack.geom import Box3, box_iou_3d, volumetric_iou
 from canontrack.metrics import TrackRecord, mota
-from canontrack.pose import CorrespondenceSet, umeyama_solve
+from canontrack.pose import solve_pose
 from canontrack.track import hungarian
 from canontrack.voxel import DenseTsdfGrid, extract_surface, fuse_depth_frame
 
@@ -73,8 +73,7 @@ def test_criterion_01_umeyama_exactness():
             cases.append((pts, obs, scale, rot, trans))
 
         start = time.monotonic()
-        solved = [umeyama_solve(CorrespondenceSet(p, o))
-                  for p, o, _, _, _ in cases]
+        solved = [solve_pose(p, o) for p, o, _, _, _ in cases]
         elapsed = time.monotonic() - start
 
         for est, (_, _, scale, rot, trans) in zip(solved, cases):
@@ -144,8 +143,8 @@ def test_criterion_03_iou_oracles():
 
 # ---------------------------------------------------------------- criterion 4
 
-def rec(tid, x, class_id=0):
-    return TrackRecord(tid, [x, 0.0, 0.0], class_id)
+def rec(tid, x):
+    return TrackRecord(tid, [x, 0.0, 0.0])
 
 
 def test_criterion_04_mota_hand_count_suite():

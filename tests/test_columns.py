@@ -8,8 +8,7 @@ import pytest
 import column_reference as ref
 from canontrack import complete, experiment, pipeline
 from canontrack.geom import SimilarityTransform, column_means, per_column
-from canontrack.pose import (CorrespondenceSet, DegenerateCorrespondences,
-                             umeyama_solve)
+from canontrack.pose import DegenerateCorrespondences, solve_pose
 from canontrack.synth import _ray_points
 from canontrack.voxel import SparseSurfaceGrid, nearest_voxel
 
@@ -94,7 +93,7 @@ class TestUmeyama:
             canonical = rng.random((n, 3))
             observed = (random_transform(rng).apply(canonical)
                         + rng.normal(0.0, 0.01, (n, 3)))
-            got = umeyama_solve(CorrespondenceSet(canonical, observed))
+            got = solve_pose(canonical, observed)
             assert same_transform(got, ref.umeyama_solve(canonical, observed))
 
 

@@ -38,8 +38,6 @@ class TestTemplates:
         for kind in synth.TEMPLATE_KINDS:
             t = make_template(kind, [0.6, 0.5, 0.4])
             assert t.canonical_occupancy.bits.any()
-            assert t.class_id == synth.TEMPLATE_KINDS[kind][0]
-            assert t.symmetry == synth.TEMPLATE_KINDS[kind][1]
 
     def test_cube_fills_requested_extent(self):
         t = make_template("cube", [0.6, 0.6, 0.6])
@@ -198,6 +196,14 @@ class TestRenderFrame:
         # the far object has no visible voxels facing the camera
         assert len(gt.objects[0].visible_voxels) > 0
         assert len(gt.objects[1].visible_voxels) == 0
+
+    @pytest.mark.parametrize("kind", sorted(synth.TEMPLATE_KINDS))
+    def test_class_and_symmetry_from_kind_table(self, kind):
+        _, gt = render_frame(single_object_script(kind), 0)
+        class_id, symmetry, _ = synth.TEMPLATE_KINDS[kind]
+        (obj,) = gt.objects
+        assert obj.template.kind == kind
+        assert obj.class_id == class_id and obj.symmetry == symmetry
 
     def test_visible_voxels_subset_of_surface(self):
         script = single_object_script(yaw=0.4)

@@ -6,8 +6,9 @@ import pytest
 from canontrack.detect import Proposal
 from canontrack.geom import Box3
 from canontrack.pipeline import DetectionRecord
-from canontrack.track import (RUNNING_AVERAGE_OLD_WEIGHT, Tracker, Tracklet,
-                              associate_frame, hungarian, update_canonical)
+from canontrack.track import (BINARIZE_THRESHOLD, RUNNING_AVERAGE_OLD_WEIGHT,
+                              Tracker, Tracklet, associate_frame, binarize,
+                              hungarian, update_canonical)
 from canontrack.voxel import OBJECT_RESOLUTION
 
 
@@ -123,6 +124,15 @@ class TestAssociateFrame:
         ts = [self.tracklet(0, [0, 0, 0]), self.tracklet(1, [0.5, 0, 0])]
         r = associate_frame(ts, [box([0.25, 0, 0]), box([-0.1, 0, 0])])
         assert dict(r.matches) == {0: 1, 1: 0}
+
+
+class TestBinarize:
+    def test_threshold_inclusive(self):
+        assert BINARIZE_THRESHOLD == 0.5
+        g = binarize(np.array([[[0.49, 0.5], [0.51, 0.0]],
+                               [[1.0, 0.2], [0.5, 0.9]]]))
+        assert g.tolist() == [[[False, True], [True, False]],
+                              [[True, False], [True, True]]]
 
 
 class TestUpdateCanonical:

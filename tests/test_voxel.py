@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from canontrack.geom import Box3, SimilarityTransform
-from canontrack.voxel import (CameraIntrinsics, DenseTsdfGrid, binarize,
-                              extract_surface, fuse_depth_frame, nearest_voxel)
+from canontrack.voxel import (CameraIntrinsics, DenseTsdfGrid, extract_surface,
+                              fuse_depth_frame, nearest_voxel)
 
 
 def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -232,12 +232,4 @@ class TestTruncation:
         assert fused.truncation == 3.0 * voxel_size
         with pytest.raises(AttributeError):
             grid.truncation = 0.1
-
-
-class TestBinarize:
-    def test_threshold_inclusive(self):
-        g = binarize(np.array([[[0.49, 0.5], [0.51, 0.0]],
-                               [[1.0, 0.2], [0.5, 0.9]]]), 0.5)
-        assert g.tolist() == [[[False, True], [True, False]],
-                              [[True, False], [True, True]]]
 
