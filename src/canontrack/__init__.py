@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 def _on_glibc() -> bool:
     """Whether the C library is glibc, whose mallopt parameters this sets."""
-    if "CS_GNU_LIBC_VERSION" not in os.confstr_names:
+    if "CS_GNU_LIBC_VERSION" not in getattr(os, "confstr_names", ()):
         return False
     try:
         return bool(os.confstr("CS_GNU_LIBC_VERSION"))

@@ -154,37 +154,36 @@ def score_tracking(dump: dict, gt_dump: dict,
 
 def score_sequence(result: pipeline.SequenceResult,
                    config: ExperimentConfig) -> dict:
-    """All per-sequence metrics from a pipeline result."""
+    """All per-sequence metrics from a pipeline result.  The mean completion
+    IoU is over the detections matched to ground truth, and 0.0 when none
+    was."""
     gt_by_id = {}
     gt_det = []
     gt_comp = []
     for gt in result.gt_frames:
         for o in gt.objects:
             gt_by_id[(gt.index, o.object_id)] = o
-            gt_det.append(metrics.GroundTruthInstance(gt.index, o.class_id, o.box))
-            gt_comp.append(metrics.GroundTruthInstance(
-                gt.index, o.class_id, o.template.canonical_occupancy.bits))
+            key = (gt.index, o.class_id)
+            gt_det.append(key + (o.box,))
+            gt_comp.append(key + (o.template.canonical_occupancy.bits,))
 
     pose_pairs = []
     det_scored = []
     comp_scored = []
+    comp_ious = []
     for d in result.detections:
-        det_scored.append(metrics.ScoredDetection(
-            d.frame, d.proposal.class_id, d.proposal.mean_objectness,
-            d.proposal.box))
-        comp_scored.append(metrics.ScoredDetection(
-            d.frame, d.proposal.class_id, d.proposal.mean_objectness,
-            d.canonical))
+        key = (d.frame, d.proposal.class_id, d.proposal.mean_objectness)
+        det_scored.append(key + (d.proposal.box,))
+        comp_scored.append(key + (d.canonical,))
+        if d.completion_iou is not None:
+            comp_ious.append(d.completion_iou)
         if d.gt_object_id is not None and d.pred_pose is not None:
             obj = gt_by_id[(d.frame, d.gt_object_id)]
             pose_pairs.append((d.pred_pose, obj.pose, obj.symmetry))
 
     det_ap = metrics.average_precision(det_scored, gt_det, box_iou_3d, 0.5)
     comp_ap = metrics.average_precision(comp_scored, gt_comp, volumetric_iou, 0.25)
-    if pose_pairs:
-        med_rot, med_trans = metrics.pose_error_stats(pose_pairs)
-    else:
-        med_rot = med_trans = None
+    med_rot, med_trans = metrics.pose_error_stats(pose_pairs)
 
     losses = np.mean(np.array(result.detection_losses), axis=0)
     return {
@@ -193,7 +192,8 @@ def score_sequence(result: pipeline.SequenceResult,
         "median_translation_error_m": med_trans,
         "detection_map_50": det_ap["map"],
         "completion_map_25": comp_ap["map"],
-        "mean_completion_iou": result.mean_completion_iou(),
+        "mean_completion_iou": (float(np.mean(comp_ious)) if comp_ious
+                                else 0.0),
         "mean_detection_losses": losses.tolist(),
         "num_pose_pairs": len(pose_pairs),
     }

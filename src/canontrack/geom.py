@@ -128,16 +128,6 @@ class Box3:
         """Bounding cube with side = max extent, same center."""
         return Box3(self.center, np.full(3, float(self.extents.max())))
 
-    def contains(self, points) -> np.ndarray:
-        """Whether each point lies in the box, faces included; compared per
-        column, which makes no (N, 3) temporaries."""
-        p = np.asarray(points, dtype=np.float64)
-        lo, hi = self.min_corner, self.max_corner
-        inside = (p[..., 0] >= lo[0]) & (p[..., 0] <= hi[0])
-        for d in (1, 2):
-            inside &= (p[..., d] >= lo[d]) & (p[..., d] <= hi[d])
-        return inside
-
     def to_dict(self) -> dict:
         return {"center": self.center.tolist(), "extents": self.extents.tolist()}
 

@@ -97,19 +97,18 @@ def mota(pred_frames: dict, gt_frames: dict,
         free_g = [g for g in gts if g.track_id not in matched_gt]
         free_p = [p for p in preds if p.track_id not in matched_pred]
         mme = 0
-        if free_g and free_p:
-            dist = np.zeros((len(free_g), len(free_p)))
-            for i, g in enumerate(free_g):
-                for j, p in enumerate(free_p):
-                    dist[i, j] = np.linalg.norm(p.center - g.center)
-            for i, j in gated_assignment(dist, dist <= gate):
-                g, p = free_g[i], free_p[j]
-                prev = corr.get(g.track_id)
-                if prev is not None and prev != p.track_id:
-                    mme += 1
-                corr[g.track_id] = p.track_id
-                matched_gt.add(g.track_id)
-                matched_pred.add(p.track_id)
+        dist = np.zeros((len(free_g), len(free_p)))
+        for i, g in enumerate(free_g):
+            for j, p in enumerate(free_p):
+                dist[i, j] = np.linalg.norm(p.center - g.center)
+        for i, j in gated_assignment(dist, dist <= gate):
+            g, p = free_g[i], free_p[j]
+            prev = corr.get(g.track_id)
+            if prev is not None and prev != p.track_id:
+                mme += 1
+            corr[g.track_id] = p.track_id
+            matched_gt.add(g.track_id)
+            matched_pred.add(p.track_id)
 
         breakdown.misses.append(len(gts) - len(matched_gt))
         breakdown.false_positives.append(len(preds) - len(matched_pred))
@@ -132,10 +131,10 @@ def tracklet_dump_to_frames(dump: dict) -> dict:
 
 def pose_error_stats(pairs) -> tuple:
     """Median (rotation error degrees, translation error meters) over matched
-    (pred_pose, gt_pose, symmetry) triples."""
+    (pred_pose, gt_pose, symmetry) triples; (None, None) without a triple."""
     pairs = list(pairs)
     if not pairs:
-        raise ValueError("empty match set")
+        return None, None
     rot = []
     trans = []
     for pred, gt, sym in pairs:
@@ -144,66 +143,48 @@ def pose_error_stats(pairs) -> tuple:
     return float(np.median(rot)), float(np.median(trans))
 
 
-@dataclass
-class ScoredDetection:
-    """One detection for AP scoring; `payload` is whatever the iou_fn
-    consumes (a box, a canonical grid, ...)."""
-
-    frame: int
-    class_id: int
-    score: float
-    payload: object
-
-
-@dataclass
-class GroundTruthInstance:
-    frame: int
-    class_id: int
-    payload: object
-
-
 def average_precision(detections, ground_truth, iou_fn,
                       iou_threshold: float) -> dict:
     """Per-class AP by greedy highest-confidence matching and all-point
     interpolation; returns {"per_class": {...}, "map": mean over classes
-    present in the ground truth}."""
+    present in the ground truth}.
+
+    `detections` are (frame, class_id, score, payload) tuples and
+    `ground_truth` (frame, class_id, payload) tuples; a payload is whatever
+    iou_fn consumes (a box, a canonical grid, ...).  Detections are matched
+    in order of falling score, ties by frame."""
     gt_by_class: dict = {}
     for g in ground_truth:
-        gt_by_class.setdefault(g.class_id, []).append(g)
+        gt_by_class.setdefault(g[1], []).append(g)
     per_class = {}
     for cls, gts in sorted(gt_by_class.items()):
-        dets = sorted(
-            [d for d in detections if d.class_id == cls],
-            key=lambda d: (-d.score, d.frame),
-        )
+        dets = sorted([d for d in detections if d[1] == cls],
+                      key=lambda d: (-d[2], d[0]))
+        if not dets:
+            per_class[cls] = 0.0
+            continue
         matched = [False] * len(gts)
         tp = np.zeros(len(dets))
-        fp = np.zeros(len(dets))
-        for di, d in enumerate(dets):
+        for di, (frame, _, _, payload) in enumerate(dets):
             best, best_iou = -1, iou_threshold
-            for gi, g in enumerate(gts):
-                if matched[gi] or g.frame != d.frame:
+            for gi, (gt_frame, _, gt_payload) in enumerate(gts):
+                if matched[gi] or gt_frame != frame:
                     continue
-                iou = iou_fn(d.payload, g.payload)
+                iou = iou_fn(payload, gt_payload)
                 if iou >= best_iou:
                     best, best_iou = gi, iou
             if best >= 0:
                 matched[best] = True
                 tp[di] = 1
-            else:
-                fp[di] = 1
-        if len(dets) == 0:
-            per_class[cls] = 0.0
-            continue
         ctp = np.cumsum(tp)
-        cfp = np.cumsum(fp)
+        cfp = np.cumsum(1.0 - tp)
         recall = ctp / len(gts)
         precision = ctp / np.maximum(ctp + cfp, 1e-12)
-        # all-point interpolation: area under the precision envelope
+        # all-point interpolation: area under the precision envelope, the
+        # running maximum of precision from the highest recall down
         r = np.concatenate([[0.0], recall, [1.0]])
         p = np.concatenate([[0.0], precision, [0.0]])
-        for i in range(len(p) - 2, -1, -1):
-            p[i] = max(p[i], p[i + 1])
+        p = np.maximum.accumulate(p[::-1])[::-1]
         idx = np.nonzero(r[1:] != r[:-1])[0]
         per_class[cls] = float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
     ap_values = list(per_class.values())

@@ -64,11 +64,6 @@ class SequenceResult:
     detections: list  # DetectionRecord per kept proposal
     detection_losses: list  # (L_o, L_c, L_d) per frame
 
-    def mean_completion_iou(self) -> float:
-        ious = [d.completion_iou for d in self.detections
-                if d.completion_iou is not None]
-        return float(np.mean(ious)) if ious else 0.0
-
 
 def build_sequence_data(script: synth.SceneScript,
                         voxel_size: float) -> SequenceData:

@@ -527,12 +527,14 @@ def make_random_script(
         ])
         templates.append(make_template(kind, size, f"obj{i}_{kind}"))
 
+    def placeable(p, others):
+        return np.linalg.norm(p) <= PLACEMENT_RADIUS and all(
+            np.linalg.norm(p - q) >= MIN_SEPARATION for q in others)
+
     def sample_position(others):
         for _ in range(200):
             p = rng.uniform(-PLACEMENT_RADIUS, PLACEMENT_RADIUS, 2)
-            if np.linalg.norm(p) > PLACEMENT_RADIUS:
-                continue
-            if all(np.linalg.norm(p - q) >= MIN_SEPARATION for q in others):
+            if placeable(p, others):
                 return p
         raise RuntimeError("could not place object; scene too crowded")
 
@@ -552,9 +554,7 @@ def make_random_script(
                         ang = rng.uniform(0, 2 * np.pi)
                         dist = rng.uniform(0.6, 0.9)
                         p = positions[i] + dist * np.array([np.cos(ang), np.sin(ang)])
-                        if np.linalg.norm(p) <= PLACEMENT_RADIUS and all(
-                            np.linalg.norm(p - q) >= MIN_SEPARATION for q in others
-                        ):
+                        if placeable(p, others):
                             positions[i] = p
                             break
                     yaws[i] += rng.uniform(np.pi / 2, np.pi) * rng.choice([-1, 1])

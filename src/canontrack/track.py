@@ -42,7 +42,8 @@ class AssignmentResult:
 
 def hungarian(cost: np.ndarray) -> list:
     """Minimal-cost assignment over all maximal matchings of a rectangular
-    cost matrix; returns (row, col) pairs sorted lexicographically."""
+    cost matrix; returns (row, col) pairs sorted lexicographically, none
+    when the matrix has no row or no column."""
     cost = np.asarray(cost, dtype=np.float64)
     if cost.size == 0:
         return []
@@ -61,8 +62,6 @@ def gated_assignment(cost: np.ndarray, allowed: np.ndarray) -> list:
 def associate_frame(tracklets: list, boxes: list) -> AssignmentResult:
     """Match detection boxes to tracklets by Hungarian on 1 - box IoU,
     rejecting matches under ASSOCIATION_IOU."""
-    if not tracklets or not boxes:
-        return AssignmentResult([], list(range(len(boxes))))
     iou = np.zeros((len(tracklets), len(boxes)))
     for i, t in enumerate(tracklets):
         for j, box in enumerate(boxes):

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,40 +80,12 @@ def mc_box_iou(a, b, n=2_000_000, seed=0):
     lo = np.minimum(a.min_corner, b.min_corner)
     hi = np.maximum(a.max_corner, b.max_corner)
     p = rng.uniform(lo, hi, size=(n, 3))
-    in_a = a.contains(p)
-    in_b = b.contains(p)
+    in_a = np.all((p >= a.min_corner) & (p <= a.max_corner), axis=1)
+    in_b = np.all((p >= b.min_corner) & (p <= b.max_corner), axis=1)
     union = np.count_nonzero(in_a | in_b)
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
-
-
-class TestBoxContains:
-    def test_bitwise_equal_to_the_broadcast_formula(self):
-        # Per-column comparison gives the bools of the (N, 3) broadcast it
-        # replaced, faces included, on every corner, edge and face point of
-        # the box, one float step outside each, and rows holding a NaN.
-        box = Box3([0.1, -0.3, 0.7], [0.4, 1.3, 0.9])
-        lo, hi = box.min_corner, box.max_corner
-        steps = [lo, np.nextafter(lo, -np.inf), box.center,
-                 hi, np.nextafter(hi, np.inf)]
-        axes = [[s[d] for s in steps] for d in range(3)]
-        p = np.array(list(itertools.product(*axes)))
-        nan_rows = np.tile(box.center, (3, 1))
-        nan_rows[np.arange(3), np.arange(3)] = np.nan
-        p = np.vstack([p, nan_rows])
-
-        def broadcast(points):
-            return np.all((points >= lo) & (points <= hi), axis=-1)
-
-        got = box.contains(p)
-        assert got.dtype == bool and got.shape == (len(p),)
-        assert got.tobytes() == broadcast(p).tobytes()
-        assert 0 < np.count_nonzero(got) < len(p)
-        assert not got[-3:].any()
-        for point in (box.center, lo, hi, np.nextafter(hi, np.inf)):
-            assert box.contains(point) == broadcast(point)
-            assert np.shape(box.contains(point)) == ()
 
 
 class TestBoxIou:

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from canontrack.geom import Box3, SimilarityTransform, box_iou_3d, yaw_rotation
-from canontrack.metrics import (GroundTruthInstance, MotaBreakdown,
-                                ScoredDetection, TrackRecord,
-                                average_precision, mota,
-                                pose_error_stats, tracklet_dump_to_frames)
+from canontrack.geom import (Box3, SimilarityTransform, box_iou_3d,
+                             volumetric_iou, yaw_rotation)
+from canontrack.metrics import (MotaBreakdown, TrackRecord, average_precision,
+                                mota, pose_error_stats,
+                                tracklet_dump_to_frames)
 
 
 def rec(tid, x):
@@ -161,9 +161,8 @@ class TestPoseErrorStats:
         rot, _ = pose_error_stats([(pred, gt, "two_fold")])
         assert rot == pytest.approx(0.0, abs=1e-6)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            pose_error_stats([])
+    def test_empty_gives_none(self):
+        assert pose_error_stats([]) == (None, None)
 
 
 def box(x, side=1.0):
@@ -172,62 +171,155 @@ def box(x, side=1.0):
 
 class TestAveragePrecision:
     def test_perfect_detections(self):
-        gt = [GroundTruthInstance(0, 0, box(0.0)),
-              GroundTruthInstance(0, 0, box(5.0))]
-        dets = [ScoredDetection(0, 0, 0.9, box(0.0)),
-                ScoredDetection(0, 0, 0.8, box(5.0))]
+        gt = [(0, 0, box(0.0)), (0, 0, box(5.0))]
+        dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(5.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["map"] == 1.0
 
     def test_no_detections(self):
-        gt = [GroundTruthInstance(0, 0, box(0.0))]
+        gt = [(0, 0, box(0.0))]
         assert average_precision([], gt, box_iou_3d, 0.5)["map"] == 0.0
 
     def test_half_recall_known_ap(self):
         # 2 GT, one matched at high confidence, one FP after it:
         # precision-recall points (1.0, 0.5), (0.5, 0.5) -> AP = 0.5
-        gt = [GroundTruthInstance(0, 0, box(0.0)),
-              GroundTruthInstance(0, 0, box(5.0))]
-        dets = [ScoredDetection(0, 0, 0.9, box(0.0)),
-                ScoredDetection(0, 0, 0.8, box(50.0))]
+        gt = [(0, 0, box(0.0)), (0, 0, box(5.0))]
+        dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(50.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["map"] == pytest.approx(0.5)
 
     def test_low_confidence_tp_after_fp(self):
         # FP at confidence 0.9, TP at 0.8: precision at recall 1 (1 gt) is 0.5
-        gt = [GroundTruthInstance(0, 0, box(0.0))]
-        dets = [ScoredDetection(0, 0, 0.9, box(50.0)),
-                ScoredDetection(0, 0, 0.8, box(0.0))]
+        gt = [(0, 0, box(0.0))]
+        dets = [(0, 0, 0.9, box(50.0)), (0, 0, 0.8, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["map"] == pytest.approx(0.5)
 
     def test_duplicate_detection_is_fp(self):
-        gt = [GroundTruthInstance(0, 0, box(0.0))]
-        dets = [ScoredDetection(0, 0, 0.9, box(0.0)),
-                ScoredDetection(0, 0, 0.8, box(0.0))]
+        gt = [(0, 0, box(0.0))]
+        dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["map"] == pytest.approx(1.0)  # dup only hurts precision tail
 
     def test_frame_mismatch_not_matched(self):
         # same box but a different frame: never a true positive
-        gt = [GroundTruthInstance(0, 0, box(0.0))]
-        dets = [ScoredDetection(1, 0, 0.9, box(0.0))]
+        gt = [(0, 0, box(0.0))]
+        dets = [(1, 0, 0.9, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["map"] == 0.0
 
     def test_mean_over_gt_classes(self):
-        gt = [GroundTruthInstance(0, 0, box(0.0)),
-              GroundTruthInstance(0, 1, box(5.0))]
-        dets = [ScoredDetection(0, 0, 0.9, box(0.0))]  # class 1 undetected
+        gt = [(0, 0, box(0.0)), (0, 1, box(5.0))]
+        dets = [(0, 0, 0.9, box(0.0))]  # class 1 undetected
         r = average_precision(dets, gt, box_iou_3d, 0.5)
         assert r["per_class"] == {0: 1.0, 1: 0.0}
         assert r["map"] == pytest.approx(0.5)
 
     def test_volumetric_payloads(self):
-        from canontrack.geom import volumetric_iou
         a = np.zeros((4, 4, 4), dtype=bool)
         a[:2] = True
-        gt = [GroundTruthInstance(0, 0, a)]
-        dets = [ScoredDetection(0, 0, 0.9, a.copy())]
+        gt = [(0, 0, a)]
+        dets = [(0, 0, 0.9, a.copy())]
         r = average_precision(dets, gt, volumetric_iou, 0.25)
         assert r["map"] == 1.0
+
+
+def reference_average_precision(detections, ground_truth, iou_fn,
+                                iou_threshold):
+    """The loop formula average_precision replaced, kept as it was but for
+    reading tuples: a separate false-positive array filled in the matching
+    loop, the no-detection case after it, and the precision envelope by a
+    Python loop.  average_precision must reproduce it bit for bit."""
+    gt_by_class = {}
+    for g in ground_truth:
+        gt_by_class.setdefault(g[1], []).append(g)
+    per_class = {}
+    for cls, gts in sorted(gt_by_class.items()):
+        dets = sorted(
+            [d for d in detections if d[1] == cls],
+            key=lambda d: (-d[2], d[0]),
+        )
+        matched = [False] * len(gts)
+        tp = np.zeros(len(dets))
+        fp = np.zeros(len(dets))
+        for di, d in enumerate(dets):
+            best, best_iou = -1, iou_threshold
+            for gi, g in enumerate(gts):
+                if matched[gi] or g[0] != d[0]:
+                    continue
+                iou = iou_fn(d[3], g[2])
+                if iou >= best_iou:
+                    best, best_iou = gi, iou
+            if best >= 0:
+                matched[best] = True
+                tp[di] = 1
+            else:
+                fp[di] = 1
+        if len(dets) == 0:
+            per_class[cls] = 0.0
+            continue
+        ctp = np.cumsum(tp)
+        cfp = np.cumsum(fp)
+        recall = ctp / len(gts)
+        precision = ctp / np.maximum(ctp + cfp, 1e-12)
+        r = np.concatenate([[0.0], recall, [1.0]])
+        p = np.concatenate([[0.0], precision, [0.0]])
+        for i in range(len(p) - 2, -1, -1):
+            p[i] = max(p[i], p[i + 1])
+        idx = np.nonzero(r[1:] != r[:-1])[0]
+        per_class[cls] = float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
+    ap_values = list(per_class.values())
+    return {
+        "per_class": per_class,
+        "map": float(np.mean(ap_values)) if ap_values else 0.0,
+    }
+
+
+def random_box(rng, near=None):
+    center = rng.uniform(-1.0, 1.0, 3) if near is None else (
+        near.center + rng.normal(0.0, 0.15, 3))
+    return Box3(center, rng.uniform(0.3, 0.6, 3))
+
+
+def random_grid(rng, near=None):
+    if near is None:
+        return rng.random((4, 4, 4)) > 0.5
+    return near ^ (rng.random((4, 4, 4)) > 0.8)
+
+
+class TestAveragePrecisionMatchesLoopFormula:
+    @pytest.mark.parametrize("kind", ["box", "grid"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bitwise_equal(self, kind, seed):
+        # Ground truth in classes 0-2 over three frames.  Detections fall in
+        # classes 0, 1 and 3 only, so class 2 has none; scores come from
+        # three values and frames from three, so (score, frame) ties are
+        # common; some detections are exact copies of a ground truth or of
+        # another detection.
+        make, iou_fn, threshold = {
+            "box": (random_box, box_iou_3d, 0.5),
+            "grid": (random_grid, volumetric_iou, 0.25),
+        }[kind]
+        rng = np.random.default_rng(seed)
+        gt = [(int(rng.integers(3)), int(rng.integers(3)), make(rng))
+              for _ in range(12)]
+        dets = []
+        for _ in range(30):
+            frame, cls, payload = gt[int(rng.integers(len(gt)))]
+            roll = rng.random()
+            if roll < 0.3:
+                payload = make(rng)
+            elif roll < 0.7:
+                payload = make(rng, payload)
+            if cls == 2:
+                cls = 3
+            dets.append((frame, cls, float(rng.choice([0.3, 0.6, 0.9])),
+                         payload))
+        dets += [dets[int(k)] for k in rng.integers(len(dets), size=5)]
+
+        got = average_precision(dets, gt, iou_fn, threshold)
+        want = reference_average_precision(dets, gt, iou_fn, threshold)
+        assert ({k: v.hex() for k, v in got["per_class"].items()}
+                == {k: v.hex() for k, v in want["per_class"].items()})
+        assert got["map"].hex() == want["map"].hex()
+        assert got["per_class"][2] == 0.0

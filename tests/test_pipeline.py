@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import multiprocessing
+import os
 import resource
 import shutil
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +53,20 @@ class TestPipeline:
         scores = experiment.score_sequence(result, config)
         assert scores["median_rotation_error_deg"] < 1e-5
         assert scores["median_translation_error_m"] < 1e-9
+
+    def test_unmatched_detections_measure_no_pose_or_iou(self, small_run):
+        # Detections none of which met a ground-truth object: no pose pair
+        # and no completion IoU, which still reads 0.0.
+        config, _, result = small_run
+        unmatched = [dataclasses.replace(d, gt_object_id=None,
+                                         pred_pose=None, completion_iou=None)
+                     for d in result.detections]
+        scores = experiment.score_sequence(
+            dataclasses.replace(result, detections=unmatched), config)
+        assert scores["num_pose_pairs"] == 0
+        assert scores["median_rotation_error_deg"] is None
+        assert scores["median_translation_error_m"] is None
+        assert scores["mean_completion_iou"] == 0.0
 
     def test_detection_losses_zero_without_knobs(self, small_run):
         _, _, result = small_run
@@ -148,6 +163,11 @@ class TestHeapPolicy:
 
     def test_libc_without_mallopt(self):
         canontrack._keep_freed_memory(object())
+
+    def test_python_without_confstr_is_not_glibc(self, monkeypatch):
+        # os.confstr_names exists only on Unix Pythons.
+        monkeypatch.delattr(os, "confstr_names")
+        assert canontrack._on_glibc() is False
 
     def test_sets_the_mmap_and_trim_thresholds(self):
         calls = []

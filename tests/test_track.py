@@ -69,6 +69,7 @@ class TestHungarian:
 
     def test_empty(self):
         assert hungarian(np.zeros((0, 3))) == []
+        assert hungarian(np.zeros((3, 0))) == []
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
