@@ -38,13 +38,6 @@ class CompletionOutput:
     noc: np.ndarray  # (M, 3) canonical coordinates in [0, 1]^3
     centers: np.ndarray  # (M, 3) world-space crop voxel centers
 
-    def __post_init__(self):
-        if self.noc.shape != self.centers.shape or self.noc.shape[1:] != (3,):
-            raise ValueError("noc/centers shape mismatch")
-        if len(self.noc) and (self.noc.min() < -1e-9
-                              or self.noc.max() > 1 + 1e-9):
-            raise ValueError("canonical coordinates must lie in [0,1]^3")
-
 
 def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
                   object_id: int) -> np.random.Generator:
@@ -57,9 +50,8 @@ def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
 
 def _lookup_codes(bits: np.ndarray, visible_voxels: np.ndarray) -> np.ndarray:
     """uint8 grid read by the oracle's one lookup: bit 0 template occupancy,
-    bit 1 visible voxel, bit 2 set everywhere, so that a lookup reads nonzero
-    exactly inside the template's cube."""
-    codes = np.add(bits, 4, dtype=np.uint8)
+    bit 1 visible voxel."""
+    codes = bits.astype(np.uint8)
     if len(visible_voxels):
         vv = np.asarray(visible_voxels, dtype=np.int64)
         codes[vv[:, 0], vv[:, 1], vv[:, 2]] |= 2
@@ -150,16 +142,16 @@ def oracle_complete(
     canon = inverse.apply(centers)
     codes = nearest_voxel(lookup, canon)
     if not codes.any():
-        # No row lands in the template's cube, so none is occupied; the crop
-        # may still reach the cube outside the occupied box.
+        # No row is occupied, but the crop may reach the cube outside the
+        # occupied box; a one-voxel grid reads True exactly inside the cube.
         cube_rows, cube_counts = _candidate_rows(cube, inverse, res,
                                                  np.zeros(3), np.ones(3))
-        in_cube = nearest_voxel(lookup, inverse.apply(
+        in_cube = nearest_voxel(np.ones((1, 1, 1), dtype=bool), inverse.apply(
             _crop_centers(cube, cube_rows, cube_counts, res)))
         if not in_cube.any():
             raise ValueError("detection box does not overlap the object")
     full = (codes & 1).astype(bool)
-    visible = (codes & 3) == 3
+    visible = codes == 3
 
     f = float(config.completion_fraction)
     if f >= 1.0:

@@ -81,11 +81,11 @@ def binary_cross_entropy(pred, target) -> float:
 def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
     """(L_o, L_c, L_d): objectness BCE over all surface voxels, and smooth-l1
     center and extent losses over target-object voxels.  All terms are means
-    over their support."""
+    over their support, 0.0 over an empty one."""
     if len(pred.voxels) != len(target.owner):
         raise ValueError("prediction and target fields are misaligned")
     m = target.owner >= 0
-    l_o = binary_cross_entropy(pred.objectness, m)
+    l_o = binary_cross_entropy(pred.objectness, m) if len(m) else 0.0
     if m.any():
         l_c = float(np.mean(smooth_l1(pred.center_offset[m] - target.center_offset[m])))
         l_d = float(np.mean(smooth_l1(pred.extents[m] - target.extents[m])))

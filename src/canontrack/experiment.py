@@ -243,9 +243,10 @@ def track_sequence(config: ExperimentConfig, fractions: list,
 
 
 def write_json(path, obj, indent: int | None = None) -> None:
-    """Strict JSON: NaN and infinities raise instead of being written."""
+    """Strict JSON: NaN and infinities raise before the file is opened."""
+    text = json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
     with open(path, "w") as f:
-        json.dump(obj, f, indent=indent, sort_keys=True, allow_nan=False)
+        f.write(text)
 
 
 def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:

@@ -464,38 +464,6 @@ def render_frame(script: SceneScript, frame_idx: int,
     return depth, GroundTruthFrame(frame_idx, cam, objects)
 
 
-def visible_overlap_fraction_low(gt_frames,
-                                 voxel_size: float = 0.05) -> float:
-    """Fraction of frame transitions where some object's visible geometry
-    (posed visible voxels, quantized to a world lattice) overlaps the
-    previous frame's with IoU below 0.3."""
-    low = 0
-    total = 0
-    for prev, cur in zip(gt_frames, gt_frames[1:]):
-        frame_low = False
-        for po, co in zip(prev.objects, cur.objects):
-            cells = []
-            for o in (po, co):
-                res = o.template.canonical_occupancy.dims[0]
-                w = o.pose.apply((o.visible_voxels + 0.5) / res)
-                cells.append(np.floor(w / voxel_size).astype(np.int64))
-            # one integer key per lattice cell over the pair's joint span
-            both = np.concatenate(cells)
-            lo = both.min(axis=0, initial=0)  # initial: a pair may show nothing
-            dims = both.max(axis=0, initial=0) - lo + 1
-            a, b = (np.unique(np.ravel_multi_index((c - lo).T, dims))
-                    for c in cells)
-            common = len(np.intersect1d(a, b, assume_unique=True))
-            union = len(a) + len(b) - common
-            iou = common / union if union else 0.0
-            if iou < 0.3:
-                frame_low = True
-        total += 1
-        if frame_low:
-            low += 1
-    return low / total if total else 0.0
-
-
 def make_random_script(
     seed: int,
     n_objects: int = 2,

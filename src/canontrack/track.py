@@ -145,12 +145,10 @@ class Tracker:
         if not self.enable_rescue:
             return self.tracklets
         while True:
-            merged_any = False
-            # Re-derive candidates each round: merges change the orphan set.
+            # Re-derive candidates each round: merges change the orphan set;
+            # with none left the assignment is empty and the round returns.
             candidates = sorted(self.tracklets, key=lambda t: t.first_frame)
             orphans = [k for k, t in enumerate(candidates) if t.first_frame > 0]
-            if not orphans:
-                break
             frames = [t.frames() for t in candidates]
             # Coexisting tracklets are distinct objects.
             eligible = [(i, j) for i, b in enumerate(candidates)
@@ -176,10 +174,8 @@ class Tracker:
                     continue
                 self._merge(base, orphan)
                 absorbed.add(id(orphan))
-                merged_any = True
-            if not merged_any:
-                break
-        return self.tracklets
+            if not absorbed:
+                return self.tracklets
 
     def _merge(self, base: Tracklet, orphan: Tracklet) -> None:
         # The two share no frame (coexisting tracklets never merge).

@@ -187,6 +187,20 @@ class TestTrackAndEval:
             assert row["mean_completion_iou"] == ""
             assert row["median_rotation_error_deg"] == ""
 
+    def test_frames_without_surface(self, tmp_path):
+        # 2x2 images show no surface voxel: every loss is a mean over
+        # nothing and reads 0.0, so the scores are strict JSON.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "n_sequences": 1, "n_frames": 2, "n_objects": 1,
+            "image_width": 2, "image_height": 2}))
+        out = tmp_path / "out"
+        r = run_cli("track", "--config", str(path), "--seed", "1",
+                    "--output", str(out))
+        assert r.exit_code == 0, r.output
+        scores = json.loads((out / "scores_seq0000.json").read_text())
+        assert scores["mean_detection_losses"] == [0.0, 0.0, 0.0]
+
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):
         r = run_cli("eval", "--config", config_path,
                     "--output", str(tmp_path / "empty"))

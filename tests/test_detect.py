@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -93,6 +94,18 @@ class TestDetectionLosses:
         l_o, l_c, l_d = detection_losses(pred, target)
         assert l_o < 1e-10
         assert (l_c, l_d) == (0.0, 0.0)
+
+    def test_empty_fields_zero_loss(self):
+        # a frame without surface voxels: every term is a mean over nothing
+        from canontrack.detect import DetectionTargets
+        pred = PredictionFields(np.zeros((0, 3), int), np.zeros(0),
+                                np.zeros((0, 3)), np.zeros((0, 3)),
+                                np.zeros(0, dtype=int))
+        target = DetectionTargets(np.zeros(0, dtype=int), np.zeros((0, 3)),
+                                  np.zeros((0, 3)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert detection_losses(pred, target) == (0.0, 0.0, 0.0)
 
 
 def blob_fields(center, n, rng, spread=3.0, class_id=0,

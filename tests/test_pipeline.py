@@ -332,6 +332,12 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "tracklets_seq0000.json").exists()
         assert (tmp_path / "a" / "metrics.csv").exists()
 
+    def test_write_json_rejects_nan_before_writing(self, tmp_path):
+        path = tmp_path / "scores.json"
+        with pytest.raises(ValueError):
+            experiment.write_json(path, {"a": 1.0, "b": float("nan")})
+        assert not path.exists()
+
     def test_summary_shape(self, tmp_path):
         cfg = small_config(n_frames=4, output_dir=str(tmp_path))
         s = experiment.run_experiment(cfg)

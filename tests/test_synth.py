@@ -390,15 +390,6 @@ class TestSceneScript:
         b = make_random_script(seed=2, n_frames=2).to_dict()
         assert a != b
 
-    def test_fast_motion_forces_low_overlap(self):
-        # 20 frames, jumps every 3rd: 6 of 19 transitions are jumps
-        script = make_random_script(seed=0, n_objects=2, n_frames=20,
-                                    motion="fast", jump_period=3)
-        gt_frames = [render_frame(script, f)[1]
-                     for f in range(script.frame_count)]
-        frac = synth.visible_overlap_fraction_low(gt_frames)
-        assert frac >= 0.3
-
     def test_slow_motion_keeps_high_overlap(self):
         script = make_random_script(seed=0, n_objects=2, n_frames=8,
                                     motion="slow")

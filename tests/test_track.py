@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from canontrack import track
 from canontrack.detect import Proposal
 from canontrack.geom import Box3
 from canontrack.pipeline import DetectionRecord
@@ -285,6 +286,20 @@ class TestTracker:
         (dumped,) = tracker.dump()["tracklets"]
         assert [(fr["frame"], fr["box"]["center"][0])
                 for fr in dumped["frames"]] == [(0, 0.0), (2, 10.0), (4, 20.0)]
+
+    def test_no_orphans_no_rescue_work(self, monkeypatch):
+        # every tracklet is born at frame 0: the rescue round has no orphan
+        # column, so it binarizes and compares nothing
+        calls = []
+        monkeypatch.setattr(track, "binarize",
+                            lambda g: calls.append("binarize") or g)
+        monkeypatch.setattr(track, "volumetric_iou",
+                            lambda a, b: calls.append("iou") or 0.0)
+        tracker = Tracker()
+        for f in range(3):
+            tracker.step([det(f, [0, 0, 0]), det(f, [10, 0, 0])])
+        assert [t.id for t in tracker.finish()] == [0, 1]
+        assert calls == []
 
     def test_dump_round_trip_shape(self):
         tracker = Tracker()
