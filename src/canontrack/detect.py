@@ -82,8 +82,6 @@ def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
     """(L_o, L_c, L_d): objectness BCE over all surface voxels, and smooth-l1
     center and extent losses over target-object voxels.  All terms are means
     over their support, 0.0 over an empty one."""
-    if len(pred.voxels) != len(target.owner):
-        raise ValueError("prediction and target fields are misaligned")
     m = target.owner >= 0
     l_o = binary_cross_entropy(pred.objectness, m) if len(m) else 0.0
     if m.any():
@@ -94,31 +92,31 @@ def detection_losses(pred: PredictionFields, target: DetectionTargets) -> tuple:
     return l_o, l_c, l_d
 
 
-def _mean_shift_modes(votes: np.ndarray, radius: float, steps: int) -> np.ndarray:
-    """Distinct positions reached by at most `steps` flat-kernel mean-shift
-    steps from the seeds (the unique vote voxels): each mode once, in
-    np.unique order.
+def _mean_shift_modes(votes: np.ndarray) -> np.ndarray:
+    """Distinct positions reached by at most MEAN_SHIFT_STEPS flat-kernel
+    mean-shift steps from the seeds (the unique vote voxels): each mode once,
+    in np.unique order.
 
-    A step maps a position to the mean of the votes within `radius` of it,
-    summed in ascending vote index, so seeds that reach the same position
-    share every later step and a position the step leaves unchanged bit for
-    bit never moves again.  Equal positions are therefore moved once, fixed
-    points are not moved at all, and the loop ends when no position moves;
-    the result equals moving every seed through every step.
+    A step maps a position to the mean of the votes within MEAN_SHIFT_RADIUS
+    of it, summed in ascending vote index, so seeds that reach the same
+    position share every later step and a position the step leaves unchanged
+    bit for bit never moves again.  Equal positions are therefore moved once,
+    fixed points are not moved at all, and the loop ends when no position
+    moves; the result equals moving every seed through every step.
     """
     seeds = np.unique(np.round(votes), axis=0)
     tree = cKDTree(votes)
     pts = seeds.astype(np.float64)  # distinct positions
     moving = np.ones(len(pts), dtype=bool)
-    for _ in range(steps):
+    for _ in range(MEAN_SHIFT_STEPS):
         active = np.nonzero(moving)[0]
         if not len(active):
             break
-        # Every (position, vote) pair within `radius`, in no set order;
+        # Every (position, vote) pair within the radius, in no set order;
         # sorting by position * len(votes) + vote lists each neighbourhood
         # in ascending vote index, one position after another.
         pairs = cKDTree(pts[active]).sparse_distance_matrix(
-            tree, radius, output_type="ndarray")
+            tree, MEAN_SHIFT_RADIUS, output_type="ndarray")
         lens = np.bincount(pairs["i"], minlength=len(active))
         keep = lens > 0
         moving[active[~keep]] = False
@@ -161,7 +159,7 @@ def mean_shift_proposals(fields: PredictionFields) -> list:
         return []
     idx = np.nonzero(sel)[0]
     votes = fields.voxels[sel] + fields.center_offset[sel]
-    modes = _mean_shift_modes(votes, radius, MEAN_SHIFT_STEPS)
+    modes = _mean_shift_modes(votes)
 
     # Support of each candidate mode = votes within the kernel radius.
     support = cKDTree(votes).query_ball_point(modes, radius, return_length=True)

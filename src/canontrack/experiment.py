@@ -222,22 +222,20 @@ def gt_to_dict(gt_frames) -> dict:
     }
 
 
-def track_sequence(config: ExperimentConfig, fractions: list,
-                   sequence_id: int) -> tuple:
-    """Generate one sequence once, then track and score it at each
-    completion fraction: (sequence id, ground-truth dump,
-    [(tracklet dump, scores) per fraction]).
+def track_sequence(configs: list, sequence_id: int) -> tuple:
+    """Generate one sequence once, from the first config, then track and
+    score it under each config of a run (they differ only in completion
+    fraction and output directory): (sequence id, ground-truth dump,
+    [(tracklet dump, scores) per config]).
 
-    Each result is scored and dropped before the next fraction runs.
+    Each result is scored and dropped before the next config runs.
     """
-    data = pipeline.build_sequence_data(make_script(config, sequence_id),
-                                        config.voxel_size)
+    data = pipeline.build_sequence_data(make_script(configs[0], sequence_id),
+                                        configs[0].voxel_size)
     runs = []
-    for f in fractions:
-        tracked = replace(config, completion_fraction=f)
-        result = pipeline.run_sequence(data,
-                                       tracked.pipeline_config(sequence_id))
-        runs.append((result.dump, score_sequence(result, tracked)))
+    for c in configs:
+        result = pipeline.run_sequence(data, c.pipeline_config(sequence_id))
+        runs.append((result.dump, score_sequence(result, c)))
         del result
     return sequence_id, gt_to_dict(data.gt_frames), runs
 
@@ -287,10 +285,9 @@ def _run(config: ExperimentConfig, fractions: list, out_dirs: list) -> list:
     if config.workers > 1:
         with ProcessPoolExecutor(
                 max_workers=min(config.workers, len(ids))) as pool:
-            results = list(pool.map(track_sequence, repeat(config),
-                                    repeat(fractions), ids))
+            results = list(pool.map(track_sequence, repeat(configs), ids))
     else:
-        results = [track_sequence(config, fractions, i) for i in ids]
+        results = [track_sequence(configs, i) for i in ids]
 
     summaries = []
     for k, c in enumerate(configs):

@@ -71,12 +71,12 @@ def build_sequence_data(script: synth.SceneScript,
 
     The ground truth's visibility band is the TSDF truncation, three voxels
     (DenseTsdfGrid.truncation).  The pipeline extracts a full-voxel surface
-    band, which keeps about five times as many surface voxels as the
-    half-voxel extract_surface default, so that most objects give the
-    detector more votes than its MIN_CLUSTER_SIZE filter needs.  It does not
-    guarantee that: a small object seen over little of its surface can still
-    own fewer surface voxels and go unproposed (ROADMAP, "Measured and
-    parked": small objects under the cluster filter).
+    band, which keeps about five times as many surface voxels as a
+    half-voxel band, so that most objects give the detector more votes than
+    its MIN_CLUSTER_SIZE filter needs.  It does not guarantee that: a small
+    object seen over little of its surface can still own fewer surface
+    voxels and go unproposed (ROADMAP, "Measured and parked": small objects
+    under the cluster filter).
     """
     gt_frames = []
     surfaces = []

@@ -286,8 +286,7 @@ def look_at(eye, target) -> SimilarityTransform:
     return SimilarityTransform(1.0, rot, eye)
 
 
-def default_intrinsics(width: int = 240,
-                       height: int = 180) -> CameraIntrinsics:
+def default_intrinsics(width: int, height: int) -> CameraIntrinsics:
     """Square pixels, the principal point at the image center and a 60
     degree horizontal field of view."""
     f = width / (2.0 * np.tan(np.radians(60.0) / 2.0))
@@ -398,7 +397,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
 
 
 def render_frame(script: SceneScript, frame_idx: int,
-                 visibility_band: float = 0.15) -> tuple:
+                 visibility_band: float) -> tuple:
     """Render one frame: (depth image, GroundTruthFrame).
 
     Depth is camera-frame z in meters, 0 where nothing was hit.  Each
@@ -466,11 +465,11 @@ def render_frame(script: SceneScript, frame_idx: int,
 
 def make_random_script(
     seed: int,
-    n_objects: int = 2,
-    n_frames: int = 24,
-    motion: str = "slow",
-    intrinsics: CameraIntrinsics | None = None,
-    jump_period: int = JUMP_PERIOD,
+    n_objects: int,
+    n_frames: int,
+    motion: str,
+    intrinsics: CameraIntrinsics,
+    jump_period: int,
 ) -> SceneScript:
     """Random desk-scale scene.
 
@@ -481,8 +480,6 @@ def make_random_script(
     if motion not in ("slow", "fast"):
         raise ValueError("motion must be 'slow' or 'fast'")
     rng = np.random.default_rng(seed)
-    if intrinsics is None:
-        intrinsics = default_intrinsics()
 
     kinds = list(TEMPLATE_KINDS)
     templates = []

@@ -85,9 +85,6 @@ def update_canonical(tracklet: Tracklet, new_canonical: np.ndarray) -> None:
     """Running mean, in place: avg <- w * avg + (1 - w) * new, with w the
     RUNNING_AVERAGE_OLD_WEIGHT."""
     w = RUNNING_AVERAGE_OLD_WEIGHT
-    new_canonical = np.asarray(new_canonical)
-    if new_canonical.shape != tracklet.canonical_avg.shape:
-        raise ValueError("canonical grid dims mismatch")
     avg = tracklet.canonical_avg
     avg *= w
     avg += (1.0 - w) * new_canonical
@@ -100,7 +97,7 @@ class Tracker:
     `finish` once.
     """
 
-    def __init__(self, enable_rescue: bool = True):
+    def __init__(self, enable_rescue: bool):
         self.enable_rescue = enable_rescue
         self.tracklets: list = []
         self._next_id = 0

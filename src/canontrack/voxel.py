@@ -121,10 +121,6 @@ class SparseSurfaceGrid:
     origin: np.ndarray
     voxel_size: float
 
-    def __post_init__(self):
-        self.coords = np.asarray(self.coords, dtype=np.int64).reshape(-1, 3)
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-
     def __len__(self) -> int:
         return self.coords.shape[0]
 
@@ -211,15 +207,8 @@ def fuse_depth_frame(
     )
 
 
-def extract_surface(grid: DenseTsdfGrid, band: float | None = None) -> SparseSurfaceGrid:
-    """Observed voxels with |tsdf| < band.
-
-    Default band is half a voxel, which keeps the extracted set a thin shell
-    around the zero crossing rather than the full +-truncation slab.
-    """
-    if band is None:
-        band = 0.5 * grid.voxel_size
-    band = min(band, grid.truncation)
+def extract_surface(grid: DenseTsdfGrid, band: float) -> SparseSurfaceGrid:
+    """Observed voxels with |tsdf| < band, meters."""
     mask = (grid.weights > 0) & (np.abs(grid.values) < band)
     coords = np.argwhere(mask)
     return SparseSurfaceGrid(coords, grid.origin, grid.voxel_size)

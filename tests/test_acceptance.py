@@ -375,9 +375,10 @@ def test_criterion_09_tsdf_round_trip():
         voxel_size = 0.05
         grid = DenseTsdfGrid.for_bounds(script.scene_bounds, voxel_size)
         for f in range(8):
-            depth, _ = synth.render_frame(script, f)
+            depth, _ = synth.render_frame(script, f,
+                                          visibility_band=grid.truncation)
             grid = fuse_depth_frame(depth, intr, cams[f], grid)
-        surf = extract_surface(grid)
+        surf = extract_surface(grid, band=0.5 * voxel_size)
         assert len(surf) > 100
 
         # analytic distance to the capped cylinder (radius 0.3 m, z in

@@ -302,8 +302,7 @@ def noisy_votes(seed, spacing):
 def check_modes_against_reference(votes):
     """_mean_shift_modes gives the reference's distinct rows, byte for byte;
     returns the reference's rows."""
-    got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
-                                   detect.MEAN_SHIFT_STEPS)
+    got = detect._mean_shift_modes(votes)
     want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
                                       detect.MEAN_SHIFT_STEPS)
     assert got.tobytes() == np.unique(want, axis=0).tobytes()
@@ -323,10 +322,15 @@ def fields_voting_for(votes, seed):
 
 def check_proposals_against_reference(f, reference_modes):
     """mean_shift_proposals gives the same boxes, classes and members with
-    _mean_shift_modes as with `reference_modes` (called like it); returns
-    how many."""
+    _mean_shift_modes as with `reference_modes` (called like
+    reference_mean_shift_modes); returns how many."""
     got = mean_shift_proposals(f)
-    with mock.patch.object(detect, "_mean_shift_modes", reference_modes):
+
+    def modes(votes):
+        return reference_modes(votes, detect.MEAN_SHIFT_RADIUS,
+                               detect.MEAN_SHIFT_STEPS)
+
+    with mock.patch.object(detect, "_mean_shift_modes", modes):
         want = mean_shift_proposals(f)
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -383,8 +387,7 @@ class TestMeanShiftMatchesReference:
         votes = np.tile(center, (60, 1))
         CountingTree.calls = 0
         with mock.patch.object(detect, "cKDTree", CountingTree):
-            got = detect._mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
-                                           detect.MEAN_SHIFT_STEPS)
+            got = detect._mean_shift_modes(votes)
         assert 1 <= CountingTree.calls <= 2
         want = reference_mean_shift_modes(votes, detect.MEAN_SHIFT_RADIUS,
                                           detect.MEAN_SHIFT_STEPS)
@@ -394,7 +397,10 @@ class TestMeanShiftMatchesReference:
 class TestOracleFields:
     @staticmethod
     def scene_surface(seed=0):
-        script = synth.make_random_script(seed=seed, n_objects=2, n_frames=1)
+        script = synth.make_random_script(
+            seed=seed, n_objects=2, n_frames=1, motion="slow",
+            intrinsics=synth.default_intrinsics(240, 180),
+            jump_period=synth.JUMP_PERIOD)
         from canontrack.pipeline import build_sequence_data
         data = build_sequence_data(script, 0.05)
         return data.surfaces[0], data.gt_frames[0]

@@ -377,8 +377,7 @@ class TestRunExperiment:
         ctx = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
             sid, _, [(dump, scores)] = pool.submit(
-                experiment.track_sequence, cfg, [cfg.completion_fraction],
-                1).result(timeout=300)
+                experiment.track_sequence, [cfg], 1).result(timeout=300)
         assert sid == 1
         written = json.loads((tmp_path / "tracklets_seq0001.json").read_text())
         assert json.loads(json.dumps(dump)) == written

@@ -16,6 +16,10 @@ from canontrack.synth import (SceneScript, default_intrinsics, look_at,
                               posed_bbox, render_frame)
 from noc_reference import ground_truth_noc
 
+# ExperimentConfig's scene defaults, spelled out for the direct callers here.
+SCENE = dict(n_objects=2, n_frames=24, motion="slow",
+             intrinsics=default_intrinsics(240, 180),
+             jump_period=synth.JUMP_PERIOD)
 
 def single_object_script(kind="cube", size=(0.6, 0.6, 0.6), yaw=0.0,
                          eye=(0.0, -2.0, 0.3), n_frames=1,
@@ -27,7 +31,7 @@ def single_object_script(kind="cube", size=(0.6, 0.6, 0.6), yaw=0.0,
         templates=[template],
         object_poses=[[pose]] * n_frames,
         camera_poses=[cam] * n_frames,
-        intrinsics=default_intrinsics(),
+        intrinsics=default_intrinsics(240, 180),
         scene_bounds=Box3([0, 0, 0.3], [2.0, 2.0, 1.2]),
         include_floor=include_floor,
     )
@@ -145,7 +149,7 @@ class TestRenderFrame:
         """The camera looks straight at a cube face; the central pixel's
         depth is exactly the distance to that face."""
         script = single_object_script()
-        depth, gt = render_frame(script, 0)
+        depth, gt = render_frame(script, 0, visibility_band=0.15)
         intr = script.intrinsics
         # cube spans y in [-0.3, 0.3]; camera at y=-2 -> face distance 1.7
         center = depth[intr.height // 2, intr.width // 2]
@@ -155,7 +159,7 @@ class TestRenderFrame:
         script = single_object_script()
         script.object_poses = [[SimilarityTransform(
             1.0, np.eye(3), [50.0, 50.0, 0.0])]]
-        depth, _ = render_frame(script, 0)
+        depth, _ = render_frame(script, 0, visibility_band=0.15)
         assert not depth.any()
 
     def test_floor_depth_analytic(self):
@@ -163,7 +167,7 @@ class TestRenderFrame:
         script.object_poses = [[SimilarityTransform(
             1.0, np.eye(3), [50.0, 50.0, 0.0])]]
         cam = script.camera_poses[0]
-        depth, _ = render_frame(script, 0)
+        depth, _ = render_frame(script, 0, visibility_band=0.15)
         hit = depth > 0
         assert hit.any()
         # all floor hits reproject to z = 0
@@ -185,11 +189,11 @@ class TestRenderFrame:
             templates=[t, t],
             object_poses=[[near, far]],
             camera_poses=[cam],
-            intrinsics=default_intrinsics(),
+            intrinsics=default_intrinsics(240, 180),
             scene_bounds=Box3([0, 0.75, 0.3], [2.0, 3.5, 1.2]),
             include_floor=False,
         )
-        depth, gt = render_frame(script, 0)
+        depth, gt = render_frame(script, 0, visibility_band=0.15)
         intr = script.intrinsics
         assert depth[intr.height // 2, intr.width // 2] == \
             pytest.approx(1.7, abs=1e-6)
@@ -199,7 +203,8 @@ class TestRenderFrame:
 
     @pytest.mark.parametrize("kind", sorted(synth.TEMPLATE_KINDS))
     def test_class_and_symmetry_from_kind_table(self, kind):
-        _, gt = render_frame(single_object_script(kind), 0)
+        _, gt = render_frame(single_object_script(kind), 0,
+                             visibility_band=0.15)
         class_id, symmetry, _ = synth.TEMPLATE_KINDS[kind]
         (obj,) = gt.objects
         assert obj.template.kind == kind
@@ -207,7 +212,7 @@ class TestRenderFrame:
 
     def test_visible_voxels_subset_of_surface(self):
         script = single_object_script(yaw=0.4)
-        _, gt = render_frame(script, 0)
+        _, gt = render_frame(script, 0, visibility_band=0.15)
         surf = {tuple(v) for v in gt.objects[0].template.surface_voxels}
         vis = {tuple(v) for v in gt.objects[0].visible_voxels}
         assert vis and vis <= surf
@@ -215,7 +220,7 @@ class TestRenderFrame:
     def test_depth_matches_box_distance_everywhere(self):
         # every rendered object hit lies on the posed cube's boundary
         script = single_object_script(yaw=0.31)
-        depth, gt = render_frame(script, 0)
+        depth, gt = render_frame(script, 0, visibility_band=0.15)
         cam = script.camera_poses[0]
         intr = script.intrinsics
         vv, uu = np.nonzero(depth > 0)
@@ -241,7 +246,7 @@ class TestRenderFrame:
             return ray_box(o, d, lo, hi)
 
         monkeypatch.setattr(synth, "_ray_box", counting)
-        depth, _ = render_frame(script, 0)
+        depth, _ = render_frame(script, 0, visibility_band=0.15)
         assert depth.any()
         intr = script.intrinsics
         assert 0 < max(rows) < intr.width * intr.height
@@ -329,7 +334,7 @@ class TestRenderAgainstEveryPixelReference:
     @example(WHOLLY_OFF_SCREEN)
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal(self, script):
-        depth, gt = render_frame(script, 0)
+        depth, gt = render_frame(script, 0, visibility_band=0.15)
         ref_depth, ref_gt = render_reference.render_frame(script, 0)
         assert depth.tobytes() == ref_depth.tobytes()
         for a, b in zip(gt.objects, ref_gt.objects):
@@ -368,7 +373,7 @@ class TestGroundTruthNoc:
 
 class TestSceneScript:
     def test_pose_count_must_match_templates(self):
-        script = make_random_script(seed=7, n_objects=2, n_frames=2)
+        script = make_random_script(seed=7, **SCENE | dict(n_frames=2))
         fields = dict(camera_poses=script.camera_poses,
                       intrinsics=script.intrinsics,
                       scene_bounds=script.scene_bounds)
@@ -381,18 +386,17 @@ class TestSceneScript:
                         **fields)
 
     def test_deterministic_generation(self):
-        a = make_random_script(seed=11, n_frames=4).to_dict()
-        b = make_random_script(seed=11, n_frames=4).to_dict()
+        a = make_random_script(seed=11, **SCENE | dict(n_frames=4)).to_dict()
+        b = make_random_script(seed=11, **SCENE | dict(n_frames=4)).to_dict()
         assert a == b
 
     def test_seed_changes_scene(self):
-        a = make_random_script(seed=1, n_frames=2).to_dict()
-        b = make_random_script(seed=2, n_frames=2).to_dict()
+        a = make_random_script(seed=1, **SCENE | dict(n_frames=2)).to_dict()
+        b = make_random_script(seed=2, **SCENE | dict(n_frames=2)).to_dict()
         assert a != b
 
     def test_slow_motion_keeps_high_overlap(self):
-        script = make_random_script(seed=0, n_objects=2, n_frames=8,
-                                    motion="slow")
+        script = make_random_script(seed=0, **SCENE | dict(n_frames=8))
         boxes = [
             [posed_bbox(script.templates[i], script.object_poses[f][i])
              for i in range(2)]

@@ -151,11 +151,6 @@ class TestUpdateCanonical:
             update_canonical(t, np.ones((2, 2, 2)))
         assert np.allclose(t.canonical_avg, 1.0, atol=1e-9)
 
-    def test_dims_mismatch(self):
-        t = Tracklet(id=0, canonical_avg=np.zeros((2, 2, 2)), history=[])
-        with pytest.raises(ValueError):
-            update_canonical(t, np.zeros((3, 3, 3)))
-
     def test_bitwise_equal_to_the_copying_formula(self):
         # The average is updated in place; this is the form that converted
         # each bool grid to a float64 copy first.
@@ -170,7 +165,7 @@ class TestUpdateCanonical:
         rng = np.random.default_rng(5)
         shape = rng.random((8, 8, 8)) < 0.5
         grids = [shape ^ (rng.random(shape.shape) < 0.05) for _ in range(8)]
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         for f, g in enumerate(grids[:4]):  # frames 0-3
             tracker.step([det(f, [0, 0, 0], g)])
         tracker.step([])  # frame 4: lost
@@ -190,7 +185,7 @@ class TestRescueMatch:
 
     @staticmethod
     def merged(first, second):
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         tracker.step([det(0, [0, 0, 0], first)])
         tracker.step([])
         tracker.step([det(2, [10, 0, 0], second)])
@@ -225,7 +220,7 @@ class TestRescueMatch:
 
 class TestTracker:
     def test_continuous_track_single_id(self):
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         for f in range(5):
             tracker.step([det(f, [0.02 * f, 0, 0])])
         tracker.finish()
@@ -233,7 +228,7 @@ class TestTracker:
         assert tracker.tracklets[0].frames() == set(range(5))
 
     def test_new_object_new_id(self):
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         tracker.step([det(0, [0, 0, 0])])
         tracker.step([det(1, [0, 0, 0]),
                       det(1, [10, 0, 0], canonical=grid((5, 5, 5)))])
@@ -242,7 +237,7 @@ class TestTracker:
 
     def test_rescue_merges_reappearing_object(self):
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         tracker.step([det(0, [0, 0, 0], shape)])
         tracker.step([det(1, [0, 0, 0], shape)])
         tracker.step([])  # lost
@@ -267,7 +262,7 @@ class TestTracker:
     def test_coexisting_tracklets_not_merged(self):
         # same canonical shape but temporally overlapping: distinct objects
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         tracker.step([det(0, [0, 0, 0], shape)])
         tracker.step([det(1, [0, 0, 0], shape), det(1, [10, 0, 0], shape)])
         tracker.finish()
@@ -276,7 +271,7 @@ class TestTracker:
     def test_rescue_chain_merges_to_fixpoint(self):
         # one object seen in three disjoint episodes collapses to one track
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         centers = {0: [0, 0, 0], 2: [10, 0, 0], 4: [20, 0, 0]}
         for f in range(6):
             tracker.step([det(f, centers[f], shape)] if f in centers else [])
@@ -295,14 +290,14 @@ class TestTracker:
                             lambda g: calls.append("binarize") or g)
         monkeypatch.setattr(track, "volumetric_iou",
                             lambda a, b: calls.append("iou") or 0.0)
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         for f in range(3):
             tracker.step([det(f, [0, 0, 0]), det(f, [10, 0, 0])])
         assert [t.id for t in tracker.finish()] == [0, 1]
         assert calls == []
 
     def test_dump_round_trip_shape(self):
-        tracker = Tracker()
+        tracker = Tracker(enable_rescue=True)
         tracker.step([det(0, [0, 0, 0])])
         tracker.step([det(1, [0, 0, 0])])
         tracker.finish()

@@ -108,16 +108,16 @@ class TestExtractSurface:
     def test_band_selects_thin_shell(self):
         depth, intr, cam, grid = flat_wall_setup()
         fused = fuse_depth_frame(depth, intr, cam, grid)
-        surf = extract_surface(fused)
+        surf = extract_surface(fused, band=0.5 * grid.voxel_size)
         centers = surf.centers()
-        # default band: |wall_z - z| < 0.5 voxel
+        # |wall_z - z| < 0.5 voxel
         assert len(surf) > 0
         assert np.abs(centers[:, 2] - 1.01).max() < 0.5 * grid.voxel_size
 
     def test_wider_band(self):
         depth, intr, cam, grid = flat_wall_setup()
         fused = fuse_depth_frame(depth, intr, cam, grid)
-        narrow = extract_surface(fused)
+        narrow = extract_surface(fused, band=0.5 * grid.voxel_size)
         wide = extract_surface(fused, band=grid.voxel_size)
         assert len(wide) > len(narrow)
         assert np.abs(wide.centers()[:, 2] - 1.01).max() < grid.voxel_size
@@ -125,7 +125,7 @@ class TestExtractSurface:
     def test_unobserved_voxels_excluded(self):
         grid = empty_grid([0, 0, 0], 0.05, (4, 4, 4))
         # values are zero everywhere, but nothing was observed
-        assert len(extract_surface(grid)) == 0
+        assert len(extract_surface(grid, band=0.5 * grid.voxel_size)) == 0
 
 
 class TestLattice:
