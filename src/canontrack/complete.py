@@ -126,8 +126,8 @@ def oracle_complete(
     noc_noise (canonical units).  Only crop voxels that can map into the
     template's occupied box (`canonical_bbox`) are transformed and looked up,
     since only there can a voxel be occupied or visible; random draws still
-    cover the whole crop.  Raises ValueError when no crop voxel maps into
-    the template's unit cube.
+    cover the whole crop.  A crop that reaches no occupied voxel completes
+    to nothing: no correspondences, and occupancy holds only the flips.
     """
     cube = detection_box.cubified()
     res = OBJECT_RESOLUTION
@@ -141,15 +141,6 @@ def oracle_complete(
     centers = _crop_centers(cube, rows, counts, res)
     canon = inverse.apply(centers)
     codes = nearest_voxel(lookup, canon)
-    if not codes.any():
-        # No row is occupied, but the crop may reach the cube outside the
-        # occupied box; a one-voxel grid reads True exactly inside the cube.
-        cube_rows, cube_counts = _candidate_rows(cube, inverse, res,
-                                                 np.zeros(3), np.ones(3))
-        in_cube = nearest_voxel(np.ones((1, 1, 1), dtype=bool), inverse.apply(
-            _crop_centers(cube, cube_rows, cube_counts, res)))
-        if not in_cube.any():
-            raise ValueError("detection box does not overlap the object")
     full = (codes & 1).astype(bool)
     visible = codes == 3
 

@@ -91,6 +91,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            kind = {list: "an array", str: "a string", bool: "a boolean",
+                    int: "a number", float: "a number", type(None): "null"}
+            raise ValueError("a config must be a JSON object, got "
+                             + kind.get(type(d), type(d).__name__))
         d = dict(d)
         version = d.pop("version", CONFIG_VERSION)
         if version != CONFIG_VERSION:
@@ -268,19 +273,18 @@ def summarize(config: ExperimentConfig, per_sequence: dict) -> dict:
     }
 
 
-def _run(config: ExperimentConfig, fractions: list, out_dirs: list) -> list:
-    """Track every sequence once at each completion fraction: one summary
-    per fraction, whose files go into the matching entry of out_dirs.
+def _run(configs: list) -> list:
+    """Track every sequence once under each config (they differ only in
+    completion fraction and output directory): one summary per config,
+    whose files go into its output_dir.
 
-    Every fraction's config is validated before the first sequence is built.
-    With `workers` > 1, a pool of min(workers, n_sequences) processes shares
-    out the sequences.  Files are written after every sequence has been
-    tracked.
+    Every config is validated before the first sequence is built.  With
+    `workers` > 1, a pool of min(workers, n_sequences) processes shares out
+    the sequences.  Files are written after every sequence has been tracked.
     """
-    configs = [replace(config, completion_fraction=f, output_dir=d)
-               for f, d in zip(fractions, out_dirs)]
     for c in configs:
         c.validate()
+    config = configs[0]
     ids = range(config.n_sequences)
     if config.workers > 1:
         with ProcessPoolExecutor(
@@ -312,7 +316,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
     scores (scores_seqNNNN.json), then the summary (metrics.json) and its flat
     CSV (metrics.csv).
     """
-    return _run(config, [config.completion_fraction], [config.output_dir])[0]
+    return _run([config])[0]
 
 
 def write_summary(out: Path, summary: dict) -> None:
@@ -362,7 +366,8 @@ def sweep_completion(config: ExperimentConfig, fractions) -> list:
             raise ValueError(f"completion fractions {by_dir[name]} and {f} "
                              f"both write to {name}/")
         by_dir[name] = f
-    summaries = _run(config, list(by_dir.values()),
-                     [str(Path(config.output_dir) / name) for name in by_dir])
+    summaries = _run([replace(config, completion_fraction=f,
+                              output_dir=str(Path(config.output_dir) / name))
+                      for name, f in by_dir.items()])
     write_csv(Path(config.output_dir) / "sweep.csv", summaries)
     return summaries

@@ -69,7 +69,8 @@ def mota(pred_frames: dict, gt_frames: dict,
     present and within the gate; remaining pairs are matched by Hungarian on
     center distance; unmatched ground truth counts as misses, unmatched
     predictions as false positives, and correspondence changes as
-    mismatches.
+    mismatches.  An id that appears twice in one frame, on either side,
+    raises ValueError: CLEAR-MOT takes one hypothesis per id per frame.
     """
     if set(pred_frames) - set(gt_frames):
         raise ValueError("prediction frames outside the ground-truth range")
@@ -79,6 +80,11 @@ def mota(pred_frames: dict, gt_frames: dict,
         gts = gt_frames[f]
         preds = sorted(pred_frames.get(f, []), key=lambda r: r.track_id)
         gts = sorted(gts, key=lambda r: r.track_id)
+        for side, records in (("prediction", preds), ("ground truth", gts)):
+            for a, b in zip(records, records[1:]):
+                if a.track_id == b.track_id:
+                    raise ValueError(f"frame {f}: {side} id {a.track_id} "
+                                     "appears twice")
         pred_by_id = {p.track_id: p for p in preds}
 
         matched_gt, matched_pred = set(), set()

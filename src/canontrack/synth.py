@@ -58,7 +58,6 @@ class ObjectTemplate:
     physical_scale: np.ndarray  # full extents, meters
 
     def __post_init__(self):
-        self.physical_scale = np.asarray(self.physical_scale, dtype=np.float64).reshape(3)
         if not self.canonical_occupancy.bits.any():
             raise ValueError("canonical occupancy must be nonempty")
         if not np.all(self.physical_scale > 0):

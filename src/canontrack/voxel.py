@@ -41,19 +41,18 @@ def flat_index(idx: np.ndarray, res: int) -> np.ndarray:
 def nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Value of the voxel of `grid` that contains each point.
 
-    `grid` spans the unit cube with shape (R, R, R) or (R, R, R, C);
-    `points` has shape (..., 3).  Points outside the cube [0, 1)^3, and NaN
-    points, read zero.  Only the flat indices of the points whose three
-    lattice coordinates lie in [0, R) are made integers.
+    `grid` spans the unit cube with shape (R, R, R); `points` has shape
+    (..., 3).  Points outside the cube [0, 1)^3, and NaN points, read zero.
+    Only the flat indices of the points whose three lattice coordinates lie
+    in [0, R) are made integers.
     """
     res = grid.shape[0]
     idx = lattice_coords(points, res)
     inside = (idx >= 0) & (idx < res)
     sel = np.flatnonzero(inside[0] & inside[1] & inside[2])
-    cells = grid.reshape((res ** 3,) + grid.shape[3:])
-    out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
-    out.reshape((-1,) + grid.shape[3:])[sel] = cells.take(
-        flat_index(idx, res).reshape(-1).take(sel).astype(np.int64), axis=0)
+    out = np.zeros(points.shape[:-1], dtype=grid.dtype)
+    out.reshape(-1)[sel] = grid.reshape(-1).take(
+        flat_index(idx, res).reshape(-1).take(sel).astype(np.int64))
     return out
 
 
@@ -77,9 +76,6 @@ class DenseTsdfGrid:
     weights: np.ndarray  # per-voxel observation weight, 0 = never observed
 
     def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.values.shape != self.weights.shape or self.values.ndim != 3:
             raise ValueError("values and weights must be matching 3D arrays")
         if self.voxel_size <= 0:
@@ -134,12 +130,7 @@ class SparseSurfaceGrid:
 
 @dataclass
 class OccupancyGrid:
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.ndim != 3:
-            raise ValueError("occupancy grid must be 3D")
+    bits: np.ndarray  # (R, R, R) bool
 
     @property
     def dims(self) -> tuple:

@@ -201,6 +201,27 @@ class TestTrackAndEval:
         scores = json.loads((out / "scores_seq0000.json").read_text())
         assert scores["mean_detection_losses"] == [0.0, 0.0, 0.0]
 
+    def test_eval_rejects_a_repeated_id_in_a_frame(self, config_path,
+                                                   tmp_path):
+        # Two tracklets with id 5 over two objects in frame 0.
+        def box(x):
+            return {"center": [x, 0.0, 0.0]}
+
+        experiment.write_json(tmp_path / "gt_seq0000.json", {
+            "version": 1, "frames": [{"frame": 0, "objects": [
+                {"id": 0, "box": box(0.0)}, {"id": 1, "box": box(2.0)}]}]})
+        experiment.write_json(tmp_path / "tracklets_seq0000.json", {
+            "frame_count": 1, "tracklets": [
+                {"id": 5, "frames": [{"frame": 0, "box": box(0.0)}]},
+                {"id": 5, "frames": [{"frame": 0, "box": box(2.0)}]}]})
+        r = run_cli("eval", "--config", config_path,
+                    "--output", str(tmp_path))
+        assert r.exit_code == 1
+        err = json.loads(r.output.strip().splitlines()[-1])
+        assert err["error"] == "ValueError"
+        assert "frame 0: prediction id 5" in err["message"]
+        assert not (tmp_path / "metrics.json").exists()
+
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):
         r = run_cli("eval", "--config", config_path,
                     "--output", str(tmp_path / "empty"))
@@ -254,6 +275,22 @@ class TestErrors:
         err = json.loads(r.output.strip().splitlines()[-1])
         assert err["error"] == "ValueError"
         assert "motion" in err["message"]
+
+    @pytest.mark.parametrize("text", ["[]", '[["seed", 3]]'])
+    def test_config_must_be_an_object(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="must be a JSON object, got an "
+                                             "array"):
+            experiment.ExperimentConfig.load(path)
+        out = tmp_path / "out"
+        r = run_cli("track", "--config", str(path), "--output", str(out))
+        assert r.exit_code == 1
+        [line] = r.output.strip().splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ValueError"
+        assert not out.exists()
 
     def test_unknown_ablation_rejected(self, config_path, tmp_path):
         r = run_cli("track", "--config", config_path,

@@ -9,7 +9,7 @@ from scipy.stats import spearmanr
 from canontrack import synth
 from canontrack.complete import detection_rng, oracle_complete
 from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
-from canontrack.pipeline import PipelineConfig
+from canontrack.pipeline import PipelineConfig, _complete_detection
 from canontrack.pose import solve_pose
 from canontrack.voxel import OBJECT_RESOLUTION, nearest_voxel
 from noc_reference import NocGrid, ground_truth_noc, lattice_centers
@@ -46,13 +46,9 @@ def reference_oracle_complete(
     centers = (cube.min_corner
                + lattice_centers(shape) / OBJECT_RESOLUTION * cube.extents)
     canon = pose.inverse().apply(centers.reshape(-1, 3))
-    # Channels: template occupancy, visible voxels, and the template's cube.
-    channels = np.stack([bits, _visible_mask(visible_voxels, bits.shape[0]),
-                         np.ones_like(bits)], axis=-1)
-    full, visible, inside = nearest_voxel(channels, canon).T
-    if not inside.any():
-        raise ValueError("detection box does not overlap the object")
-    visible = visible & full
+    full = nearest_voxel(bits, canon)
+    visible = nearest_voxel(_visible_mask(visible_voxels, bits.shape[0]),
+                            canon) & full
 
     f = float(config.completion_fraction)
     if f >= 1.0:
@@ -84,6 +80,8 @@ def reference_oracle_complete(
 
 
 CLEAN = PipelineConfig()  # every degradation knob off
+KNOBS = PipelineConfig(completion_fraction=0.5, occupancy_flip_rate=0.02,
+                       noc_noise=0.01)
 
 
 def gen(seed: int = 0) -> np.random.Generator:
@@ -117,6 +115,24 @@ def above_the_slab_case():
     config = PipelineConfig(completion_fraction=0.5, occupancy_flip_rate=0.05,
                             noc_noise=0.02)
     return box, template, pose, visible, config, 11
+
+
+def assert_completes_to_nothing(box, template, pose, visible, config, seed):
+    """The crop reaches no occupied voxel: no ground truth and no
+    correspondences, and the reference's occupancy (the flips)."""
+    ref = reference_oracle_complete(box, template, pose, visible, config,
+                                    gen(seed))
+    out = oracle_complete(box, template, pose, visible, config, gen(seed))
+    assert not ref.full.any() and not out.full.any()
+    assert out.noc.shape == out.centers.shape == (0, 3)
+    assert out.occupancy.tobytes() == ref.occupancy.tobytes()
+    return out
+
+
+def above_the_cube_case():
+    """above_the_slab_case's box, raised over the unit cube too."""
+    box, *rest = above_the_slab_case()
+    return (Box3([0.0, 0.0, 0.6], box.extents), *rest)
 
 
 class TestOracleComplete:
@@ -212,25 +228,19 @@ class TestOracleComplete:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_non_overlapping_box_raises(self):
+    def test_non_overlapping_box_completes_to_nothing(self):
         template, pose, _, visible = posed_object()
         far = Box3([50.0, 50.0, 50.0], [1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            oracle_complete(far, template, pose, visible, CLEAN, gen())
+        for config in (CLEAN, KNOBS):
+            assert_completes_to_nothing(far, template, pose, visible, config,
+                                        5)
 
     def test_box_in_the_cube_but_off_the_occupied_box(self):
         box, template, pose, visible, config, seed = above_the_slab_case()
-        ref = reference_oracle_complete(box, template, pose, visible, config,
-                                        gen(seed))
-        out = oracle_complete(box, template, pose, visible, config, gen(seed))
-        assert not ref.full.any() and not out.full.any()
-        assert out.noc.shape == out.centers.shape == (0, 3)
+        out = assert_completes_to_nothing(box, template, pose, visible,
+                                          config, seed)
         assert out.occupancy.any()  # the flips
-        assert out.occupancy.tobytes() == ref.occupancy.tobytes()
-        above = Box3([0.0, 0.0, 0.6], [0.2, 0.2, 0.2])  # over the cube too
-        for oracle in (reference_oracle_complete, oracle_complete):
-            with pytest.raises(ValueError, match="does not overlap"):
-                oracle(above, template, pose, visible, config, gen(seed))
+        assert_completes_to_nothing(*above_the_cube_case())
 
     def test_transforms_fewer_rows_than_reach_the_unit_cube(self, monkeypatch):
         template, pose, visible = flat_object()
@@ -312,20 +322,31 @@ class TestAgainstFullGridReference:
     @given(completion_cases())
     @example(partial_overlap_case())
     @example(above_the_slab_case())
+    @example(above_the_cube_case())
     @settings(max_examples=60, deadline=None)
     def test_bitwise_equal_to_full_grid_oracle(self, case):
         box, template, pose, visible, config, seed = case
-        try:
-            ref = reference_oracle_complete(box, template, pose, visible,
-                                            config, gen(seed))
-        except ValueError:
-            with pytest.raises(ValueError, match="does not overlap"):
-                oracle_complete(box, template, pose, visible, config,
-                                gen(seed))
-            return
+        ref = reference_oracle_complete(box, template, pose, visible, config,
+                                        gen(seed))
         out = oracle_complete(box, template, pose, visible, config, gen(seed))
         valid = ref.noc.valid
         assert np.array_equal(out.occupancy, ref.occupancy)
         assert np.array_equal(out.full, ref.full)
         assert out.noc.tobytes() == ref.noc.coords[valid].tobytes()
         assert out.centers.tobytes() == ref.centers[valid].tobytes()
+
+
+class TestCompleteDetection:
+    @pytest.mark.parametrize("config", [CLEAN, KNOBS], ids=["clean", "knobs"])
+    @pytest.mark.parametrize("offset", [[5.0, 0.0, 0.0], [0.0, 0.0, 2.0]],
+                             ids=["five_meters_away", "above_the_object"])
+    def test_box_off_its_object_measures_nothing(self, config, offset):
+        template, pose, box, visible = posed_object()
+        obj = SimpleNamespace(object_id=0, template=template, pose=pose,
+                              visible_voxels=visible)
+        proposal = SimpleNamespace(box=Box3(box.center + offset, box.extents))
+        pred_pose, iou, canonical = _complete_detection(proposal, obj, 0,
+                                                        config)
+        assert pred_pose is None and iou == 0.0
+        assert canonical.shape == (OBJECT_RESOLUTION,) * 3
+        assert canonical.dtype == bool and not canonical.any()

@@ -119,6 +119,26 @@ class TestMota:
         with pytest.raises(ValueError):
             mota({5: [rec(0, 0.0)]}, {0: [rec(0, 0.0)]})
 
+    def test_repeated_id_in_a_frame_rejected(self):
+        # Two tracklets with id 5, or one tracklet listing frame 0 twice,
+        # over two objects: one hypothesis id would stand for two.
+        gt = {0: [rec(0, 0.0), rec(1, 2.0)], 1: [rec(0, 0.0), rec(1, 2.0)]}
+        box = {"center": [0.0, 0.0, 0.0]}
+        other = {"center": [2.0, 0.0, 0.0]}
+        dumps = [
+            [{"id": 5, "frames": [{"frame": 0, "box": box}]},
+             {"id": 5, "frames": [{"frame": 0, "box": other}]}],
+            [{"id": 5, "frames": [{"frame": 0, "box": box},
+                                  {"frame": 0, "box": other}]}],
+        ]
+        for tracklets in dumps:
+            pred = tracklet_dump_to_frames({"tracklets": tracklets,
+                                            "frame_count": 2})
+            with pytest.raises(ValueError, match="frame 0: prediction id 5"):
+                mota(pred, gt)
+        with pytest.raises(ValueError, match="frame 1: ground truth id 0"):
+            mota({}, {0: [rec(0, 0.0)], 1: [rec(0, 0.0), rec(0, 2.0)]})
+
 
 class TestTrackletDumpToFrames:
     def test_conversion(self):

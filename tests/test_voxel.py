@@ -13,14 +13,15 @@ def reference_nearest_voxel(grid: np.ndarray, points: np.ndarray) -> np.ndarray:
     res = grid.shape[0]
     idx = np.floor(points * res).astype(np.int64)
     ok = np.all((idx >= 0) & (idx < res), axis=-1)
-    out = np.zeros(points.shape[:-1] + grid.shape[3:], dtype=grid.dtype)
+    out = np.zeros(points.shape[:-1], dtype=grid.dtype)
     ii = idx[ok]
     out[ok] = grid[ii[:, 0], ii[:, 1], ii[:, 2]]
     return out
 
 
 def empty_grid(origin, voxel_size, dims):
-    return DenseTsdfGrid(origin, voxel_size, np.zeros(dims), np.zeros(dims))
+    return DenseTsdfGrid(np.array(origin, dtype=np.float64), voxel_size,
+                         np.zeros(dims), np.zeros(dims))
 
 
 def flat_wall_setup(wall_z=1.01, voxel_size=0.05):
@@ -144,9 +145,6 @@ class TestLattice:
         points = np.array([[0.1, 0.1, 0.9], [0.99, 0.6, 0.5],
                            [-0.01, 0.5, 0.5], [0.5, 0.5, 1.0]])
         assert nearest_voxel(grid, points).tolist() == [1, 7, 0, 0]
-        channels = np.stack([grid, -grid], axis=-1)
-        assert nearest_voxel(channels, points[:2]).tolist() == [[1, -1], [7, -7]]
-
 
     def test_nearest_voxel_nan_reads_zero_without_warning(self):
         grid = np.ones((4, 4, 4), dtype=np.uint8)
@@ -172,24 +170,19 @@ class TestLattice:
     def test_nearest_voxel_shapes(self):
         rng = np.random.default_rng(0)
         grid = rng.integers(1, 9, (4, 4, 4))
-        channels = rng.random((4, 4, 4, 2))
         one = nearest_voxel(grid, np.array([0.1, 0.3, 0.9]))
         assert one.shape == () and one == grid[0, 1, 3]
-        assert nearest_voxel(channels, np.array([0.1, 0.3, 0.9])).tolist() \
-            == channels[0, 1, 3].tolist()
-        empty = np.zeros((0, 3))
-        assert nearest_voxel(grid, empty).shape == (0,)
-        assert nearest_voxel(channels, empty).shape == (0, 2)
+        assert nearest_voxel(grid, np.zeros((0, 3))).shape == (0,)
         points = rng.uniform(-0.5, 1.5, (6, 5, 3))
-        got = nearest_voxel(channels, points)
-        assert got.shape == (6, 5, 2)
+        got = nearest_voxel(grid, points)
+        assert got.shape == (6, 5)
         for a in range(6):
             for b in range(5):
                 idx = np.floor(points[a, b] * 4).astype(int)
                 if np.all((idx >= 0) & (idx < 4)):
-                    assert got[a, b].tolist() == channels[tuple(idx)].tolist()
+                    assert got[a, b] == grid[tuple(idx)]
                 else:
-                    assert got[a, b].tolist() == [0.0, 0.0]
+                    assert got[a, b] == 0
 
     @pytest.mark.parametrize("res", [1, 2, 5, 64])
     def test_nearest_voxel_matches_reference(self, res):
@@ -203,8 +196,8 @@ class TestLattice:
             np.stack(np.meshgrid(edges, edges, edges), axis=-1).reshape(-1, 3),
         ])
         grids = [rng.random((res,) * 3) < 0.5,
-                 rng.integers(-9, 9, (res,) * 3 + (4,)),
-                 rng.random((res,) * 3 + (2,))]
+                 rng.integers(-9, 9, (res,) * 3),
+                 rng.random((res,) * 3)]
         odd = np.array([[np.inf, 0.5, 0.5], [np.nan, 0.5, 0.5],
                         [-np.inf, np.inf, 0.2], [1e306, 0.1, 0.1]])
         for grid in grids:
