@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geom import Box3, SimilarityTransform
+from .geom import Box3, SimilarityTransform, ray_box
 from .voxel import OBJECT_RESOLUTION, nearest_voxel
 
 if TYPE_CHECKING:
@@ -62,9 +62,9 @@ def _candidate_rows(cube: Box3, inverse: SimilarityTransform, res: int,
                     lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Ascending flat indices of the crop voxels whose center may map into
     the canonical box [lo, hi) under `inverse`, and their count on each
-    (i, j) line: one k-interval per line, widened by a voxel and by
-    CANDIDATE_SLACK.  Every voxel whose center lands in the box is among
-    them."""
+    (i, j) line: one k-interval per line (the slab test of `ray_box`),
+    widened by a voxel and by CANDIDATE_SLACK.  Every voxel whose center
+    lands in the box is among them."""
     # canonical step per crop index along each axis (columns), and the
     # canonical center of each line's k = 0 voxel
     step = inverse.scale * inverse.rotation * (cube.extents / res)
@@ -72,18 +72,8 @@ def _candidate_rows(cube: Box3, inverse: SimilarityTransform, res: int,
     n = np.arange(res)
     base = (first + n[:, None, None] * step[:, 0]
             + n[None, :, None] * step[:, 1])
-    k_lo = np.full((res, res), -np.inf)
-    k_hi = np.full((res, res), np.inf)
-    for d in range(3):
-        if step[d, 2] == 0.0:
-            off = ((base[..., d] < lo[d] - CANDIDATE_SLACK)
-                   | (base[..., d] > hi[d] + CANDIDATE_SLACK))
-            k_hi[off] = -np.inf
-            continue
-        k0 = (lo[d] - CANDIDATE_SLACK - base[..., d]) / step[d, 2]
-        k1 = (hi[d] + CANDIDATE_SLACK - base[..., d]) / step[d, 2]
-        k_lo = np.maximum(k_lo, np.minimum(k0, k1))
-        k_hi = np.minimum(k_hi, np.maximum(k0, k1))
+    k_lo, k_hi = ray_box(base, step[:, 2], lo - CANDIDATE_SLACK,
+                         hi + CANDIDATE_SLACK)
     k_first = np.clip(np.ceil(k_lo) - 1, 0, res).astype(np.int64).ravel()
     k_last = np.clip(np.floor(k_hi) + 1, -1, res - 1).astype(np.int64).ravel()
     counts = np.maximum(k_last - k_first + 1, 0)

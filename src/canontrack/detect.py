@@ -7,7 +7,7 @@ flips, center/extent jitter) to sweep detector quality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,17 +35,8 @@ class PredictionFields:
     center_offset: np.ndarray  # (N, 3) offset to object center, voxels
     extents: np.ndarray  # (N, 3) full box extents, voxels
     class_id: np.ndarray  # (N,) int predicted class
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    voxel_size: float = 1.0
-
-    def __post_init__(self):
-        self.voxels = np.asarray(self.voxels, dtype=np.int64).reshape(-1, 3)
-        n = len(self.voxels)
-        self.objectness = np.asarray(self.objectness, dtype=np.float64).reshape(n)
-        self.center_offset = np.asarray(self.center_offset, dtype=np.float64).reshape(n, 3)
-        self.extents = np.asarray(self.extents, dtype=np.float64).reshape(n, 3)
-        self.class_id = np.asarray(self.class_id, dtype=np.int64).reshape(n)
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(3)
+    origin: np.ndarray  # (3,) float, the surface grid's frame
+    voxel_size: float
 
 
 @dataclass
@@ -63,7 +54,6 @@ class Proposal:
     box: Box3
     class_id: int
     mean_objectness: float
-    member_indices: np.ndarray  # (M,) indices into the input fields
 
 
 def smooth_l1(x) -> np.ndarray:
@@ -196,7 +186,6 @@ def mean_shift_proposals(fields: PredictionFields) -> list:
                 box=box,
                 class_id=class_id,
                 mean_objectness=float(fields.objectness[gi].mean()),
-                member_indices=gi,
             )
         )
     return proposals

@@ -144,14 +144,15 @@ def _sequence_seed(seed: int, sequence_id: int) -> int:
 def score_tracking(dump: dict, gt_dump: dict,
                    config: ExperimentConfig) -> dict:
     """CLEAR-MOT scores of a tracklet dump (track.Tracker.dump) against a
-    ground-truth dump (gt_to_dict): {"mota", "mota_breakdown"}."""
-    gt_frames = {
-        fr["frame"]: [
+    ground-truth dump (gt_to_dict): {"mota", "mota_breakdown"}.  A
+    ground-truth frame listed twice raises ValueError."""
+    gt_frames = {}
+    for fr in gt_dump["frames"]:
+        if fr["frame"] in gt_frames:
+            raise ValueError(f"ground-truth frame {fr['frame']} appears twice")
+        gt_frames[fr["frame"]] = [
             metrics.TrackRecord(o["id"], o["box"]["center"])
-            for o in fr["objects"]
-        ]
-        for fr in gt_dump["frames"]
-    }
+            for o in fr["objects"]]
     breakdown = metrics.mota(metrics.tracklet_dump_to_frames(dump), gt_frames,
                              config.mota_gate)
     return {"mota": breakdown.mota, "mota_breakdown": breakdown.to_dict()}
@@ -186,8 +187,9 @@ def score_sequence(result: pipeline.SequenceResult,
             obj = gt_by_id[(d.frame, d.gt_object_id)]
             pose_pairs.append((d.pred_pose, obj.pose, obj.symmetry))
 
-    det_ap = metrics.average_precision(det_scored, gt_det, box_iou_3d, 0.5)
-    comp_ap = metrics.average_precision(comp_scored, gt_comp, volumetric_iou, 0.25)
+    det_map = metrics.average_precision(det_scored, gt_det, box_iou_3d, 0.5)
+    comp_map = metrics.average_precision(comp_scored, gt_comp, volumetric_iou,
+                                         0.25)
     med_rot, med_trans = metrics.pose_error_stats(pose_pairs)
 
     losses = np.mean(np.array(result.detection_losses), axis=0)
@@ -195,8 +197,8 @@ def score_sequence(result: pipeline.SequenceResult,
         **score_tracking(result.dump, gt_to_dict(result.gt_frames), config),
         "median_rotation_error_deg": med_rot,
         "median_translation_error_m": med_trans,
-        "detection_map_50": det_ap["map"],
-        "completion_map_25": comp_ap["map"],
+        "detection_map_50": det_map,
+        "completion_map_25": comp_map,
         "mean_completion_iou": (float(np.mean(comp_ious)) if comp_ious
                                 else 0.0),
         "mean_detection_losses": losses.tolist(),

@@ -48,6 +48,31 @@ def column_means(x: np.ndarray) -> np.ndarray:
     return sums / n
 
 
+def ray_box(o, d, lo, hi) -> tuple:
+    """(t_enter, t_exit) of the lines o + t * d through the box [lo, hi],
+    with t_exit < t_enter where a line misses: the slab test (Kay & Kajiya
+    1986) in IEEE-infinity form (Williams et al. 2005).  `o` broadcasts
+    against `d` over the last axis.
+
+    Where d is 0 on an axis the line is parallel to that slab: off it, both
+    bounds are infinities of one sign and the line misses; within it, they
+    have opposite signs; on a face plane 0 * inf is NaN, read as (-inf, inf),
+    so a line in a face plane counts as inside.
+    """
+    shape = np.broadcast_shapes(np.shape(o), np.shape(d))[:-1]
+    t_enter = np.full(shape, -np.inf)
+    t_exit = np.full(shape, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / d
+        for c in range(3):  # one axis at a time, as in per_column
+            t0 = (lo[c] - o[..., c]) * inv[..., c]
+            t1 = (hi[c] - o[..., c]) * inv[..., c]
+            # fmax and fmin skip the NaN of a face plane
+            np.fmax(t_enter, np.minimum(t0, t1), out=t_enter)
+            np.fmin(t_exit, np.maximum(t0, t1), out=t_exit)
+    return t_enter, t_exit
+
+
 @dataclass
 class SimilarityTransform:
     """Maps canonical-space points into frame space: p -> scale * R @ p + t."""

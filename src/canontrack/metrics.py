@@ -150,10 +150,10 @@ def pose_error_stats(pairs) -> tuple:
 
 
 def average_precision(detections, ground_truth, iou_fn,
-                      iou_threshold: float) -> dict:
-    """Per-class AP by greedy highest-confidence matching and all-point
-    interpolation; returns {"per_class": {...}, "map": mean over classes
-    present in the ground truth}.
+                      iou_threshold: float) -> float:
+    """Mean AP over the classes present in the ground truth (0.0 without
+    any); each class's AP is by greedy highest-confidence matching and
+    all-point interpolation.
 
     `detections` are (frame, class_id, score, payload) tuples and
     `ground_truth` (frame, class_id, payload) tuples; a payload is whatever
@@ -162,12 +162,12 @@ def average_precision(detections, ground_truth, iou_fn,
     gt_by_class: dict = {}
     for g in ground_truth:
         gt_by_class.setdefault(g[1], []).append(g)
-    per_class = {}
+    aps = []
     for cls, gts in sorted(gt_by_class.items()):
         dets = sorted([d for d in detections if d[1] == cls],
                       key=lambda d: (-d[2], d[0]))
         if not dets:
-            per_class[cls] = 0.0
+            aps.append(0.0)
             continue
         matched = [False] * len(gts)
         tp = np.zeros(len(dets))
@@ -192,9 +192,5 @@ def average_precision(detections, ground_truth, iou_fn,
         p = np.concatenate([[0.0], precision, [0.0]])
         p = np.maximum.accumulate(p[::-1])[::-1]
         idx = np.nonzero(r[1:] != r[:-1])[0]
-        per_class[cls] = float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1]))
-    ap_values = list(per_class.values())
-    return {
-        "per_class": per_class,
-        "map": float(np.mean(ap_values)) if ap_values else 0.0,
-    }
+        aps.append(float(np.sum((r[idx + 1] - r[idx]) * p[idx + 1])))
+    return float(np.mean(aps)) if aps else 0.0

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import ndimage
 
-from .geom import Box3, SimilarityTransform, per_column, yaw_rotation
+from .geom import Box3, SimilarityTransform, per_column, ray_box, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
                     depth_at, nearest_voxel)
 
@@ -327,22 +327,6 @@ def _covered_pixels(intrinsics: CameraIntrinsics,
     return (np.arange(v0, v1)[:, None] * width + np.arange(u0, u1)).ravel()
 
 
-def _ray_box(o, d, lo, hi):
-    """Slab intersection; returns (s_enter, s_exit) with s_exit < s_enter when
-    the ray misses."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = 1.0 / d
-        t0 = (lo - o) * inv
-        t1 = (hi - o) * inv
-    tmin = np.where(np.isnan(t0), -np.inf, np.minimum(t0, t1)).max(axis=-1)
-    tmax = np.where(np.isnan(t1), np.inf, np.maximum(t0, t1)).min(axis=-1)
-    # Axis-parallel rays starting outside the slab never enter it.
-    par = np.abs(d) < 1e-15
-    outside = par & ((o < lo) | (o > hi))
-    tmax = np.where(outside.any(axis=-1), -np.inf, tmax)
-    return tmin, tmax
-
-
 def _ray_points(origin, s, dirs) -> np.ndarray:
     """(N, 3) points origin + s[:, None] * dirs, computed per column."""
     points = per_column(np.multiply, s[:, None], dirs)
@@ -358,7 +342,7 @@ def _raycast_object(origin_c, dirs_c, bits, lo, hi) -> np.ndarray:
     step_c = 0.5 / bits.shape[0]
     n = len(dirs_c)
     hit = np.full(n, np.inf)
-    s0, s1 = _ray_box(origin_c, dirs_c, lo, hi)
+    s0, s1 = ray_box(origin_c, dirs_c, lo, hi)
     s0 = np.maximum(s0, 1e-9)
     cand = np.nonzero(s1 > s0)[0]
     if len(cand) == 0:

@@ -57,6 +57,18 @@ class RecordingPool(ProcessPoolExecutor):
         return super().__enter__()
 
 
+# Frame 0 listed twice (object 0, then object 1) and one hypothesis on
+# object 0: keeping only the last entry scores MOTA -1 (one miss, one false
+# positive) where both objects are in the frame.
+REPEATED_GT_FRAME = {"version": 1, "frames": [
+    {"frame": 0, "objects": [{"id": 0, "box": {"center": [0.0, 0.0, 0.0]}}]},
+    {"frame": 0, "objects": [{"id": 1, "box": {"center": [2.0, 0.0, 0.0]}}]},
+]}
+ONE_HYPOTHESIS = {"frame_count": 1, "tracklets": [
+    {"id": 5, "frames": [{"frame": 0, "box": {"center": [0.0, 0.0, 0.0]}}]},
+]}
+
+
 class TestTrackAndEval:
     def test_track_then_eval(self, config_path, tmp_path):
         out = str(tmp_path)
@@ -220,6 +232,27 @@ class TestTrackAndEval:
         err = json.loads(r.output.strip().splitlines()[-1])
         assert err["error"] == "ValueError"
         assert "frame 0: prediction id 5" in err["message"]
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_score_tracking_rejects_a_repeated_ground_truth_frame(self):
+        with pytest.raises(ValueError,
+                           match="ground-truth frame 0 appears twice"):
+            experiment.score_tracking(ONE_HYPOTHESIS, REPEATED_GT_FRAME,
+                                      experiment.ExperimentConfig())
+
+    def test_eval_rejects_a_repeated_ground_truth_frame(self, config_path,
+                                                        tmp_path):
+        experiment.write_json(tmp_path / "gt_seq0000.json", REPEATED_GT_FRAME)
+        experiment.write_json(tmp_path / "tracklets_seq0000.json",
+                              ONE_HYPOTHESIS)
+        r = run_cli("eval", "--config", config_path,
+                    "--output", str(tmp_path))
+        assert r.exit_code == 1
+        [line] = r.output.strip().splitlines()
+        err = json.loads(line)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "ValueError"
+        assert "ground-truth frame 0 appears twice" in err["message"]
         assert not (tmp_path / "metrics.json").exists()
 
     def test_eval_without_dumps_fails_cleanly(self, config_path, tmp_path):

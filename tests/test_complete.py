@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 from scipy.stats import spearmanr
 
 from canontrack import synth
-from canontrack.complete import detection_rng, oracle_complete
+from canontrack.complete import (CANDIDATE_SLACK, _candidate_rows,
+                                 detection_rng, oracle_complete)
 from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
 from canontrack.pipeline import PipelineConfig, _complete_detection
 from canontrack.pose import solve_pose
@@ -334,6 +336,69 @@ class TestAgainstFullGridReference:
         assert np.array_equal(out.full, ref.full)
         assert out.noc.tobytes() == ref.noc.coords[valid].tobytes()
         assert out.centers.tobytes() == ref.centers[valid].tobytes()
+
+
+def reference_candidate_rows(cube, inverse, res, lo, hi):
+    """The per-axis loop that `_candidate_rows` replaced by geom.ray_box,
+    kept as it was: a line with a zero step on an axis is in or out by a
+    comparison, and the other axes divide by the step."""
+    step = inverse.scale * inverse.rotation * (cube.extents / res)
+    first = inverse.apply(cube.min_corner + 0.5 * cube.extents / res)
+    n = np.arange(res)
+    base = (first + n[:, None, None] * step[:, 0]
+            + n[None, :, None] * step[:, 1])
+    k_lo = np.full((res, res), -np.inf)
+    k_hi = np.full((res, res), np.inf)
+    for d in range(3):
+        if step[d, 2] == 0.0:
+            off = ((base[..., d] < lo[d] - CANDIDATE_SLACK)
+                   | (base[..., d] > hi[d] + CANDIDATE_SLACK))
+            k_hi[off] = -np.inf
+            continue
+        k0 = (lo[d] - CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        k1 = (hi[d] + CANDIDATE_SLACK - base[..., d]) / step[d, 2]
+        k_lo = np.maximum(k_lo, np.minimum(k0, k1))
+        k_hi = np.minimum(k_hi, np.maximum(k0, k1))
+    k_first = np.clip(np.ceil(k_lo) - 1, 0, res).astype(np.int64).ravel()
+    k_last = np.clip(np.floor(k_hi) + 1, -1, res - 1).astype(np.int64).ravel()
+    counts = np.maximum(k_last - k_first + 1, 0)
+    starts = np.arange(res * res) * res + k_first
+    ends = np.cumsum(counts)
+    rows = np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1])
+    return rows, counts
+
+
+class TestCandidateRowsMatchLoop:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rows_and_counts_equal(self, seed):
+        # 60 cases a seed over every kind: yaw-only poses (two of the three
+        # steps along k exactly 0) and general rotations, with the detection
+        # box shifted and stretched around the object
+        rng = np.random.default_rng(seed)
+        kinds = sorted(synth.TEMPLATE_KINDS)
+        yawed = 0
+        for i in range(60):
+            template = synth.make_template(kinds[i % len(kinds)],
+                                           rng.uniform(0.3, 0.9, 3))
+            pose = synth.object_pose(template, rng.uniform(-1.0, 1.0, 2),
+                                     rng.uniform(0.0, 2 * np.pi))
+            if i % 2:
+                rotation = Rotation.random(random_state=rng).as_matrix()
+                pose = SimilarityTransform(pose.scale, rotation,
+                                           pose.translation)
+            box = synth.posed_bbox(template, pose)
+            box = Box3(box.center + rng.uniform(-0.6, 0.6, 3) * box.extents,
+                       box.extents * rng.uniform(0.5, 1.5, 3))
+            cube, inverse = box.cubified(), pose.inverse()
+            if np.count_nonzero(inverse.rotation[:, 2] == 0.0) == 2:
+                yawed += 1
+            args = (cube, inverse, OBJECT_RESOLUTION,
+                    *template.canonical_bbox)
+            rows, counts = _candidate_rows(*args)
+            want_rows, want_counts = reference_candidate_rows(*args)
+            assert rows.tobytes() == want_rows.tobytes()
+            assert counts.tobytes() == want_counts.tobytes()
+        assert yawed == 30
 
 
 class TestCompleteDetection:

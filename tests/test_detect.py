@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from canontrack import detect, synth
-from canontrack.detect import (PredictionFields, Proposal,
+from canontrack.detect import (PredictionFields,
                                binary_cross_entropy, detection_losses,
                                make_oracle_fields, mean_shift_proposals,
                                smooth_l1)
@@ -16,6 +16,23 @@ from canontrack.pipeline import PipelineConfig
 from canontrack.voxel import SparseSurfaceGrid
 
 CLEAN = PipelineConfig()  # every degradation knob off
+
+
+def make_fields(voxels, objectness, offsets, extents, class_id,
+                origin=(0.0, 0.0, 0.0), voxel_size=1.0) -> PredictionFields:
+    """PredictionFields with make_oracle_fields' dtypes: int64 voxels and
+    class ids, float64 fields and origin, and a float voxel size."""
+    voxels = np.asarray(voxels, dtype=np.int64).reshape(-1, 3)
+    n = len(voxels)
+    return PredictionFields(
+        voxels=voxels,
+        objectness=np.asarray(objectness, dtype=np.float64).reshape(n),
+        center_offset=np.asarray(offsets, dtype=np.float64).reshape(n, 3),
+        extents=np.asarray(extents, dtype=np.float64).reshape(n, 3),
+        class_id=np.asarray(class_id, dtype=np.int64).reshape(n),
+        origin=np.asarray(origin, dtype=np.float64),
+        voxel_size=float(voxel_size),
+    )
 
 
 class TestLossPrimitives:
@@ -54,7 +71,7 @@ class TestDetectionLosses:
         offs = rng.normal(size=(n, 3))
         ext = rng.uniform(1, 10, (n, 3))
         cls = rng.integers(0, 3, n)
-        pred = PredictionFields(voxels, np.ones(n), offs, ext, cls)
+        pred = make_fields(voxels, np.ones(n), offs, ext, cls)
         from canontrack.detect import DetectionTargets
         target = DetectionTargets(np.zeros(n, dtype=int), offs, ext)
         l_o, l_c, l_d = detection_losses(pred, target)
@@ -66,10 +83,10 @@ class TestDetectionLosses:
         # one axis -> L_d = 1.5 / 3
         from canontrack.detect import DetectionTargets
         voxels = np.array([[0, 0, 0], [1, 0, 0]])
-        pred = PredictionFields(
+        pred = make_fields(
             voxels=voxels,
             objectness=[0.5, 0.5],
-            center_offset=[[0.5, 0, 0], [0.5, 0, 0]],
+            offsets=[[0.5, 0, 0], [0.5, 0, 0]],
             extents=[[3, 1, 1], [3, 1, 1]],
             class_id=[0, 1],
         )
@@ -86,9 +103,9 @@ class TestDetectionLosses:
     def test_no_object_voxels(self):
         from canontrack.detect import DetectionTargets
         n = 5
-        pred = PredictionFields(np.zeros((n, 3), int), np.zeros(n),
-                                np.zeros((n, 3)), np.ones((n, 3)),
-                                np.zeros(n, dtype=int))
+        pred = make_fields(np.zeros((n, 3), int), np.zeros(n),
+                           np.zeros((n, 3)), np.ones((n, 3)),
+                           np.zeros(n, dtype=int))
         target = DetectionTargets(np.full(n, -1), np.zeros((n, 3)),
                                   np.ones((n, 3)))
         l_o, l_c, l_d = detection_losses(pred, target)
@@ -98,9 +115,9 @@ class TestDetectionLosses:
     def test_empty_fields_zero_loss(self):
         # a frame without surface voxels: every term is a mean over nothing
         from canontrack.detect import DetectionTargets
-        pred = PredictionFields(np.zeros((0, 3), int), np.zeros(0),
-                                np.zeros((0, 3)), np.zeros((0, 3)),
-                                np.zeros(0, dtype=int))
+        pred = make_fields(np.zeros((0, 3), int), np.zeros(0),
+                           np.zeros((0, 3)), np.zeros((0, 3)),
+                           np.zeros(0, dtype=int))
         target = DetectionTargets(np.zeros(0, dtype=int), np.zeros((0, 3)),
                                   np.zeros((0, 3)))
         with warnings.catch_warnings():
@@ -118,16 +135,26 @@ def blob_fields(center, n, rng, spread=3.0, class_id=0,
     return voxels, offsets, ext, cls
 
 
+def assert_members(p, f, members):
+    """The proposal pools exactly the votes `members` (indices into `f`):
+    its extents, class and mean objectness are theirs, bit for bit."""
+    extents = np.maximum(f.extents[members].mean(axis=0), 1e-6) * f.voxel_size
+    assert p.box.extents.tobytes() == extents.tobytes()
+    assert p.class_id == int(np.bincount(f.class_id[members]).argmax())
+    assert p.mean_objectness == float(f.objectness[members].mean())
+
+
 class TestMeanShift:
     def test_single_cluster(self):
         rng = np.random.default_rng(0)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
-        f = PredictionFields(voxels, np.ones(80), offs, ext, cls)
+        # distinct objectness per vote: its mean names the members
+        f = make_fields(voxels, rng.uniform(0.5, 1.0, 80), offs, ext, cls)
         props = mean_shift_proposals(f)
         assert len(props) == 1
         p = props[0]
         assert p.class_id == 0
-        assert len(p.member_indices) == 80
+        assert_members(p, f, np.arange(80))
         # fields use voxel units with identity geometry: center in world
         # space is the mode + half-voxel offset
         assert np.allclose(p.box.center, [40.5, 40.5, 40.5], atol=1e-6)
@@ -138,31 +165,31 @@ class TestMeanShift:
         va, oa, ea, ca = blob_fields([20.0, 20.0, 20.0], 70, rng, class_id=0)
         vb, ob, eb, cb = blob_fields([80.0, 80.0, 80.0], 60, rng, class_id=2,
                                      extents=(6.0, 6.0, 6.0))
-        f = PredictionFields(np.vstack([va, vb]), np.ones(130),
-                             np.vstack([oa, ob]), np.vstack([ea, eb]),
-                             np.concatenate([ca, cb]))
+        f = make_fields(np.vstack([va, vb]), rng.uniform(0.5, 1.0, 130),
+                        np.vstack([oa, ob]), np.vstack([ea, eb]),
+                        np.concatenate([ca, cb]))
         props = sorted(mean_shift_proposals(f), key=lambda p: p.box.center[0])
         assert len(props) == 2
         assert np.allclose(props[0].box.center, 20.5, atol=1e-6)
         assert np.allclose(props[1].box.center, 80.5, atol=1e-6)
         assert props[0].class_id == 0 and props[1].class_id == 2
-        assert len(props[0].member_indices) == 70
-        assert len(props[1].member_indices) == 60
+        assert_members(props[0], f, np.arange(70))
+        assert_members(props[1], f, np.arange(70, 130))
 
     def test_class_tie_picks_smaller_id(self):
         rng = np.random.default_rng(8)
         voxels, offs, ext, _ = blob_fields([40.0, 40.0, 40.0], 80, rng)
         cls = np.repeat([5, 2], 40)  # the larger id comes first
-        f = PredictionFields(voxels, np.ones(80), offs, ext, cls)
+        f = make_fields(voxels, rng.uniform(0.5, 1.0, 80), offs, ext, cls)
         props = mean_shift_proposals(f)
         assert len(props) == 1
-        assert len(props[0].member_indices) == 80
+        assert_members(props[0], f, np.arange(80))
         assert props[0].class_id == 2
 
     def test_small_cluster_dropped(self):
         rng = np.random.default_rng(2)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 30, rng)
-        f = PredictionFields(voxels, np.ones(30), offs, ext, cls)
+        f = make_fields(voxels, np.ones(30), offs, ext, cls)
         assert mean_shift_proposals(f) == []  # 30 < 50 members
         with mock.patch.object(detect, "MIN_CLUSTER_SIZE", 30):
             assert len(mean_shift_proposals(f)) == 1
@@ -171,7 +198,7 @@ class TestMeanShift:
         rng = np.random.default_rng(3)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
         objectness = np.full(80, 0.4)  # below the 0.5 vote threshold
-        f = PredictionFields(voxels, objectness, offs, ext, cls)
+        f = make_fields(voxels, objectness, offs, ext, cls)
         assert mean_shift_proposals(f) == []
 
     def test_nearby_modes_merge(self):
@@ -179,9 +206,9 @@ class TestMeanShift:
         rng = np.random.default_rng(4)
         va, oa, ea, ca = blob_fields([40.0, 40.0, 40.0], 60, rng, spread=1.0)
         vb, ob, eb, cb = blob_fields([44.0, 40.0, 40.0], 55, rng, spread=1.0)
-        f = PredictionFields(np.vstack([va, vb]), np.ones(115),
-                             np.vstack([oa, ob]), np.vstack([ea, eb]),
-                             np.concatenate([ca, cb]))
+        f = make_fields(np.vstack([va, vb]), np.ones(115),
+                        np.vstack([oa, ob]), np.vstack([ea, eb]),
+                        np.concatenate([ca, cb]))
         assert len(mean_shift_proposals(f)) == 1
 
     def test_permutation_invariance(self):
@@ -193,9 +220,9 @@ class TestMeanShift:
         ext = np.vstack([ea, eb])
         cls = np.concatenate([ca, cb])
         perm = rng.permutation(len(voxels))
-        f1 = PredictionFields(voxels, np.ones(130), offs, ext, cls)
-        f2 = PredictionFields(voxels[perm], np.ones(130), offs[perm],
-                              ext[perm], cls[perm])
+        f1 = make_fields(voxels, np.ones(130), offs, ext, cls)
+        f2 = make_fields(voxels[perm], np.ones(130), offs[perm], ext[perm],
+                         cls[perm])
         p1 = sorted(mean_shift_proposals(f1), key=lambda p: p.box.center[0])
         p2 = sorted(mean_shift_proposals(f2), key=lambda p: p.box.center[0])
         assert len(p1) == len(p2) == 2
@@ -205,22 +232,27 @@ class TestMeanShift:
             assert a.class_id == b.class_id
 
     def test_members_are_disjoint(self):
+        # distinct extents per cluster: a vote attached to the wrong mode
+        # moves that mode's mean
         rng = np.random.default_rng(6)
         va, oa, ea, ca = blob_fields([20.0, 20.0, 20.0], 70, rng)
-        vb, ob, eb, cb = blob_fields([60.0, 20.0, 20.0], 70, rng)
-        f = PredictionFields(np.vstack([va, vb]), np.ones(140),
-                             np.vstack([oa, ob]), np.vstack([ea, eb]),
-                             np.concatenate([ca, cb]))
-        props = mean_shift_proposals(f)
+        vb, ob, eb, cb = blob_fields([60.0, 20.0, 20.0], 70, rng,
+                                     extents=(6.0, 6.0, 6.0))
+        f = make_fields(np.vstack([va, vb]), rng.uniform(0.5, 1.0, 140),
+                        np.vstack([oa, ob]), np.vstack([ea, eb]),
+                        np.concatenate([ca, cb]))
+        props = sorted(mean_shift_proposals(f), key=lambda p: p.box.center[0])
         assert len(props) == 2
-        sets = [set(map(int, p.member_indices)) for p in props]
-        assert not (sets[0] & sets[1])
+        assert_members(props[0], f, np.arange(70))
+        assert_members(props[1], f, np.arange(70, 140))
+        assert np.array_equal(props[0].box.extents, [10.0, 10.0, 10.0])
+        assert np.array_equal(props[1].box.extents, [6.0, 6.0, 6.0])
 
     def test_world_geometry_respected(self):
         rng = np.random.default_rng(7)
         voxels, offs, ext, cls = blob_fields([40.0, 40.0, 40.0], 80, rng)
-        f = PredictionFields(voxels, np.ones(80), offs, ext, cls,
-                             origin=[1.0, 2.0, 3.0], voxel_size=0.05)
+        f = make_fields(voxels, np.ones(80), offs, ext, cls,
+                        origin=[1.0, 2.0, 3.0], voxel_size=0.05)
         p = mean_shift_proposals(f)[0]
         expected = np.array([1.0, 2.0, 3.0]) + (40.0 + 0.5) * 0.05
         assert np.allclose(p.box.center, expected, atol=1e-9)
@@ -311,19 +343,21 @@ def check_modes_against_reference(votes):
 
 def fields_voting_for(votes, seed):
     """Fields whose voxels lie about 3 voxels from their votes, with random
-    extents and classes."""
+    extents, classes and objectness (every vote at or above the threshold)."""
     rng = np.random.default_rng(seed)
     n = len(votes)
     voxels = np.round(votes + rng.normal(0.0, 3.0, (n, 3))).astype(int)
-    return PredictionFields(voxels, np.ones(n), votes - voxels,
-                            rng.uniform(2.0, 12.0, (n, 3)),
-                            rng.integers(0, 3, n))
+    extents = rng.uniform(2.0, 12.0, (n, 3))
+    classes = rng.integers(0, 3, n)
+    return make_fields(voxels, rng.uniform(0.5, 1.0, n), votes - voxels,
+                       extents, classes)
 
 
 def check_proposals_against_reference(f, reference_modes):
-    """mean_shift_proposals gives the same boxes, classes and members with
-    _mean_shift_modes as with `reference_modes` (called like
-    reference_mean_shift_modes); returns how many."""
+    """mean_shift_proposals gives the same boxes, classes and mean
+    objectness (so the same members) with _mean_shift_modes as with
+    `reference_modes` (called like reference_mean_shift_modes); returns how
+    many."""
     got = mean_shift_proposals(f)
 
     def modes(votes):
@@ -337,7 +371,7 @@ def check_proposals_against_reference(f, reference_modes):
         assert a.box.center.tobytes() == b.box.center.tobytes()
         assert a.box.extents.tobytes() == b.box.extents.tobytes()
         assert a.class_id == b.class_id
-        assert np.array_equal(a.member_indices, b.member_indices)
+        assert a.mean_objectness == b.mean_objectness
     return len(got)
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from canontrack.geom import (Box3, SimilarityTransform, box_iou_3d,
+from canontrack.geom import (Box3, SimilarityTransform, box_iou_3d, ray_box,
                              volumetric_iou, yaw_rotation)
 
 
@@ -170,3 +170,61 @@ class TestVolumetricIou:
         a = rng.random((5, 5, 5)) > 0.6
         b = rng.random((5, 5, 5)) > 0.6
         assert volumetric_iou(a, b) == volumetric_iou(b, a)
+
+
+UNIT = (np.zeros(3), np.ones(3))
+
+
+def cast(o, d) -> tuple:
+    """(t_enter, t_exit) of one line through the unit cube."""
+    t0, t1 = ray_box(np.array(o), np.array([d]), *UNIT)
+    return float(t0[0]), float(t1[0])
+
+
+class TestRayBox:
+    def test_entering_line(self):
+        assert cast([-1.0, 0.5, 0.5], [1.0, 0.0, 0.0]) == (1.0, 2.0)
+        assert cast([-1.0, -1.0, -1.0], [1.0, 1.0, 1.0]) == (1.0, 2.0)
+
+    def test_exiting_line_from_inside(self):
+        assert cast([0.5, 0.5, 0.5], [0.0, 0.0, -1.0]) == (-0.5, 0.5)
+
+    def test_miss(self):
+        # enters x's slab at t = 1 after leaving y's at t = 0.5
+        t0, t1 = cast([-1.0, 0.5, 0.5], [1.0, -1.0, 0.1])
+        assert t1 < t0
+
+    def test_parallel_line_within_a_slab(self):
+        for dx in (0.0, -0.0):
+            assert cast([0.5, 0.5, -1.0], [dx, 0.0, 1.0]) == (1.0, 2.0)
+
+    @pytest.mark.parametrize("x", [-0.5, 1.5])
+    @pytest.mark.parametrize("dx", [0.0, -0.0])
+    def test_parallel_line_off_a_slab_misses(self, x, dx):
+        t0, t1 = cast([x, 0.5, -1.0], [dx, 0.0, 1.0])
+        assert t1 < t0
+
+    @pytest.mark.parametrize("y", [0.0, 1.0], ids=["lo", "hi"])
+    @pytest.mark.parametrize("dy", [0.0, -0.0], ids=["+0", "-0"])
+    def test_line_in_a_face_plane_is_inside(self, y, dy):
+        assert cast([0.5, y, 0.5], [1.0, dy, 0.0]) == (-0.5, 0.5)
+
+    def test_line_along_an_edge_is_inside(self):
+        assert cast([0.0, 1.0, -2.0], [0.0, -0.0, 2.0]) == (1.0, 1.5)
+
+    def test_broadcasts_like_per_line_calls(self):
+        # origins on lattice planes and directions with zero components
+        rng = np.random.default_rng(0)
+        lo, hi = np.array([0.25, 0.0, 0.5]), np.array([0.75, 1.0, 1.0])
+        origins = rng.integers(-2, 7, (300, 3)) / 4.0
+        dirs = rng.normal(size=(300, 3)) * (rng.random((300, 3)) < 0.7)
+        dirs[rng.random((300, 3)) < 0.1] = -0.0
+        for o, d in [(origins, dirs[7]), (origins[7], dirs), (origins, dirs)]:
+            t0, t1 = ray_box(o, d, lo, hi)
+            o_rows = np.broadcast_to(o, (300, 3))
+            d_rows = np.broadcast_to(d, (300, 3))
+            want = np.array([ray_box(a, b, lo, hi)
+                             for a, b in zip(o_rows, d_rows)])
+            assert t0.tobytes() == want[:, 0].tobytes()
+            assert t1.tobytes() == want[:, 1].tobytes()
+            assert not np.isnan(t0).any() and not np.isnan(t1).any()

@@ -194,11 +194,11 @@ class TestAveragePrecision:
         gt = [(0, 0, box(0.0)), (0, 0, box(5.0))]
         dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(5.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["map"] == 1.0
+        assert r == 1.0
 
     def test_no_detections(self):
         gt = [(0, 0, box(0.0))]
-        assert average_precision([], gt, box_iou_3d, 0.5)["map"] == 0.0
+        assert average_precision([], gt, box_iou_3d, 0.5) == 0.0
 
     def test_half_recall_known_ap(self):
         # 2 GT, one matched at high confidence, one FP after it:
@@ -206,34 +206,34 @@ class TestAveragePrecision:
         gt = [(0, 0, box(0.0)), (0, 0, box(5.0))]
         dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(50.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["map"] == pytest.approx(0.5)
+        assert r == pytest.approx(0.5)
 
     def test_low_confidence_tp_after_fp(self):
         # FP at confidence 0.9, TP at 0.8: precision at recall 1 (1 gt) is 0.5
         gt = [(0, 0, box(0.0))]
         dets = [(0, 0, 0.9, box(50.0)), (0, 0, 0.8, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["map"] == pytest.approx(0.5)
+        assert r == pytest.approx(0.5)
 
     def test_duplicate_detection_is_fp(self):
         gt = [(0, 0, box(0.0))]
         dets = [(0, 0, 0.9, box(0.0)), (0, 0, 0.8, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["map"] == pytest.approx(1.0)  # dup only hurts precision tail
+        assert r == pytest.approx(1.0)  # dup only hurts precision tail
 
     def test_frame_mismatch_not_matched(self):
         # same box but a different frame: never a true positive
         gt = [(0, 0, box(0.0))]
         dets = [(1, 0, 0.9, box(0.0))]
         r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["map"] == 0.0
+        assert r == 0.0
 
     def test_mean_over_gt_classes(self):
         gt = [(0, 0, box(0.0)), (0, 1, box(5.0))]
         dets = [(0, 0, 0.9, box(0.0))]  # class 1 undetected
-        r = average_precision(dets, gt, box_iou_3d, 0.5)
-        assert r["per_class"] == {0: 1.0, 1: 0.0}
-        assert r["map"] == pytest.approx(0.5)
+        assert average_precision(dets, gt[:1], box_iou_3d, 0.5) == 1.0
+        assert average_precision(dets, gt[1:], box_iou_3d, 0.5) == 0.0
+        assert average_precision(dets, gt, box_iou_3d, 0.5) == 0.5
 
     def test_volumetric_payloads(self):
         a = np.zeros((4, 4, 4), dtype=bool)
@@ -241,7 +241,7 @@ class TestAveragePrecision:
         gt = [(0, 0, a)]
         dets = [(0, 0, 0.9, a.copy())]
         r = average_precision(dets, gt, volumetric_iou, 0.25)
-        assert r["map"] == 1.0
+        assert r == 1.0
 
 
 def reference_average_precision(detections, ground_truth, iou_fn,
@@ -337,9 +337,14 @@ class TestAveragePrecisionMatchesLoopFormula:
                          payload))
         dets += [dets[int(k)] for k in rng.integers(len(dets), size=5)]
 
-        got = average_precision(dets, gt, iou_fn, threshold)
         want = reference_average_precision(dets, gt, iou_fn, threshold)
-        assert ({k: v.hex() for k, v in got["per_class"].items()}
-                == {k: v.hex() for k, v in want["per_class"].items()})
-        assert got["map"].hex() == want["map"].hex()
-        assert got["per_class"][2] == 0.0
+        # each class scored alone is that class's AP; pooled, the mean
+        for cls, ap in want["per_class"].items():
+            alone = average_precision([d for d in dets if d[1] == cls],
+                                      [g for g in gt if g[1] == cls],
+                                      iou_fn, threshold)
+            assert alone.hex() == ap.hex()
+        assert want["per_class"][2] == 0.0
+        got = average_precision(dets, gt, iou_fn, threshold)
+        assert isinstance(got, float)
+        assert got.hex() == want["map"].hex()

@@ -239,13 +239,13 @@ class TestRenderFrame:
     def test_casts_only_pixels_the_box_can_cover(self, monkeypatch):
         script = single_object_script()
         rows = []
-        ray_box = synth._ray_box
+        ray_box = synth.ray_box
 
         def counting(o, d, lo, hi):
             rows.append(len(d))
             return ray_box(o, d, lo, hi)
 
-        monkeypatch.setattr(synth, "_ray_box", counting)
+        monkeypatch.setattr(synth, "ray_box", counting)
         depth, _ = render_frame(script, 0, visibility_band=0.15)
         assert depth.any()
         intr = script.intrinsics

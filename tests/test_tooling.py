@@ -1,6 +1,8 @@
-"""Checks of the repository as a whole: the pytest configuration, and that
-the command-line tool reaches every function of the package."""
+"""Checks of the repository as a whole: the pytest configuration, that the
+command-line tool reaches every function of the package, and that the
+package reads every dataclass field it declares."""
 
+import ast
 import json
 import os
 import subprocess
@@ -57,3 +59,38 @@ def test_cli_reaches_every_function(tmp_path):
     report = json.loads(r.stdout.splitlines()[-1])
     assert report["exit_codes"] == [0] * len(reach_probe.COMMANDS), r.stderr
     assert report["missed"] == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        dec = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(dec, "id", getattr(dec, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class, field) of every field of the module's dataclasses; ClassVar
+    annotations are not fields."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    """A value that only tests read is deleted too: every dataclass field
+    declared in the package is read as an attribute somewhere in it."""
+    modules = {path.name: ast.parse(path.read_text())
+               for path in sorted((SRC / "canontrack").glob("*.py"))}
+    read = {node.attr for tree in modules.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    declared = [(name, cls, field) for name, tree in modules.items()
+                for cls, field in dataclass_fields(tree)]
+    assert len(declared) > 100
+    assert [" ".join(d) for d in declared if d[2] not in read] == []

@@ -47,7 +47,7 @@ def det(frame, center, canonical=None):
         canonical = np.zeros((OBJECT_RESOLUTION,) * 3, dtype=bool)
     return DetectionRecord(
         frame=frame,
-        proposal=Proposal(box(center), 0, 1.0, np.zeros(0, dtype=np.int64)),
+        proposal=Proposal(box(center), 0, 1.0),
         gt_object_id=None,
         pred_pose=None,
         completion_iou=None,
