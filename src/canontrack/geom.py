@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,22 +77,14 @@ def ray_box(o, d, lo, hi) -> tuple:
 class SimilarityTransform:
     """Maps canonical-space points into frame space: p -> scale * R @ p + t."""
 
-    scale: float = 1.0
-    rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
-    translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    scale: float
+    rotation: np.ndarray
+    translation: np.ndarray
 
     def __post_init__(self):
         self.scale = float(self.scale)
         self.rotation = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
         self.translation = _as_vec3(self.translation)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        err = np.abs(self.rotation.T @ self.rotation - np.eye(3)).max()
-        if err > 1e-8:
-            raise ValueError(f"rotation is not orthonormal (max error {err:.2e})")
-        det = np.linalg.det(self.rotation)
-        if abs(det - 1.0) > 1e-8:
-            raise ValueError(f"rotation must have determinant +1, got {det}")
 
     def apply(self, points) -> np.ndarray:
         """Apply to a single 3-vector or an (N, 3) array of points."""
@@ -134,8 +126,6 @@ class Box3:
     def __post_init__(self):
         self.center = _as_vec3(self.center)
         self.extents = _as_vec3(self.extents)
-        if not np.all(self.extents > 0):
-            raise ValueError(f"box extents must be positive, got {self.extents}")
 
     @property
     def min_corner(self) -> np.ndarray:

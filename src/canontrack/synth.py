@@ -57,12 +57,6 @@ class ObjectTemplate:
     canonical_occupancy: OccupancyGrid
     physical_scale: np.ndarray  # full extents, meters
 
-    def __post_init__(self):
-        if not self.canonical_occupancy.bits.any():
-            raise ValueError("canonical occupancy must be nonempty")
-        if not np.all(self.physical_scale > 0):
-            raise ValueError("physical scale must be positive")
-
     @functools.cached_property
     def dilated_occupancy(self) -> np.ndarray:
         """Canonical occupancy dilated by two voxels, computed once per
@@ -149,9 +143,7 @@ def _shape_mask(kind: str, ux: np.ndarray, uy: np.ndarray,
 
 def make_template(kind: str, physical_scale,
                   template_id: str | None = None) -> ObjectTemplate:
-    """Build a procedural template of the given kind and physical size."""
-    if kind not in TEMPLATE_KINDS:
-        raise ValueError(f"unknown template kind {kind!r}")
+    """Build a procedural template of a TEMPLATE_KINDS kind and size."""
     _, _, square = TEMPLATE_KINDS[kind]
     scale = np.asarray(physical_scale, dtype=np.float64).reshape(3).copy()
     if square:
@@ -233,17 +225,6 @@ class SceneScript:
     scene_bounds: Box3
     include_floor: bool = True
 
-    def __post_init__(self):
-        if len(self.object_poses) < 1:
-            raise ValueError("need at least one frame")
-        if len(self.camera_poses) != len(self.object_poses):
-            raise ValueError("camera and object pose counts differ")
-        for f, poses in enumerate(self.object_poses):
-            if len(poses) != len(self.templates):
-                raise ValueError(
-                    f"frame {f} has {len(poses)} object poses for "
-                    f"{len(self.templates)} templates")
-
     @property
     def frame_count(self) -> int:
         return len(self.object_poses)
@@ -276,10 +257,7 @@ def look_at(eye, target) -> SimilarityTransform:
     f = np.asarray(target, dtype=np.float64) - eye
     f = f / np.linalg.norm(f)
     r = np.cross(f, np.array([0.0, 0.0, 1.0]))
-    nr = np.linalg.norm(r)
-    if nr < 1e-9:
-        raise ValueError("camera forward is parallel to up")
-    r = r / nr
+    r = r / np.linalg.norm(r)
     d = np.cross(f, r)
     rot = np.stack([r, d, f], axis=1)
     return SimilarityTransform(1.0, rot, eye)

@@ -75,12 +75,6 @@ class DenseTsdfGrid:
     values: np.ndarray  # truncated signed distances, meters
     weights: np.ndarray  # per-voxel observation weight, 0 = never observed
 
-    def __post_init__(self):
-        if self.values.shape != self.weights.shape or self.values.ndim != 3:
-            raise ValueError("values and weights must be matching 3D arrays")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
-
     @property
     def dims(self) -> tuple:
         return self.values.shape
@@ -161,16 +155,10 @@ def fuse_depth_frame(
 ) -> DenseTsdfGrid:
     """Integrate one depth frame into the grid (running weighted average).
 
-    `depth` is (height, width) in meters, 0 marking invalid pixels.
-    `camera_pose` is camera-to-world and must have unit scale.
+    `depth` is a float64 (height, width) array in meters, 0 marking invalid
+    pixels; `camera_pose` is camera-to-world and must have unit scale.
     Returns a new grid; the input is not modified.
     """
-    if abs(camera_pose.scale - 1.0) > 1e-12:
-        raise ValueError("camera pose must have unit scale")
-    depth = np.asarray(depth, dtype=np.float64)
-    if depth.shape != (intrinsics.height, intrinsics.width):
-        raise ValueError("depth image shape does not match intrinsics")
-
     centers = grid.voxel_centers().reshape(-1, 3)
     world_to_cam = camera_pose.inverse()
     cam = world_to_cam.apply(centers)

@@ -20,11 +20,11 @@ def random_rotation(rng):
 
 class TestSimilarityTransform:
     def test_identity(self):
-        t = SimilarityTransform()
+        t = SimilarityTransform(1.0, np.eye(3), np.zeros(3))
         assert np.allclose(t.apply([1, 2, 3]), [1, 2, 3])
 
     def test_pure_scaling(self):
-        t = SimilarityTransform(scale=2.0)
+        t = SimilarityTransform(2.0, np.eye(3), np.zeros(3))
         assert np.allclose(t.apply([1, 0, 0]), [2, 0, 0])
 
     def test_rotation_translation(self):
@@ -42,12 +42,6 @@ class TestSimilarityTransform:
         pts = rng.normal(size=(1000, 3))
         back = t.inverse().apply(t.apply(pts))
         assert np.abs(back - pts).max() < 1e-9
-
-    def test_rejects_bad_rotation(self):
-        with pytest.raises(ValueError):
-            SimilarityTransform(rotation=np.diag([1.0, 1.0, -1.0]))
-        with pytest.raises(ValueError):
-            SimilarityTransform(scale=-1.0)
 
     def test_matrix_form(self):
         # apply equals the homogeneous 4x4 matrix [sR t; 0 1]

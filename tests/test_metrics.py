@@ -165,10 +165,9 @@ class TestTrackletDumpToFrames:
 
 class TestPoseErrorStats:
     def test_medians(self):
-        gt = SimilarityTransform()
+        gt = SimilarityTransform(1.0, np.eye(3), np.zeros(3))
         preds = [
-            SimilarityTransform(rotation=yaw_rotation(np.radians(a)),
-                                translation=[t, 0, 0])
+            SimilarityTransform(1.0, yaw_rotation(np.radians(a)), [t, 0, 0])
             for a, t in [(0.0, 0.0), (10.0, 0.1), (20.0, 0.4)]
         ]
         rot, trans = pose_error_stats([(p, gt, "none") for p in preds])
@@ -176,8 +175,8 @@ class TestPoseErrorStats:
         assert trans == pytest.approx(0.1, abs=1e-12)
 
     def test_symmetry_applied(self):
-        gt = SimilarityTransform()
-        pred = SimilarityTransform(rotation=yaw_rotation(np.pi))
+        gt = SimilarityTransform(1.0, np.eye(3), np.zeros(3))
+        pred = SimilarityTransform(1.0, yaw_rotation(np.pi), np.zeros(3))
         rot, _ = pose_error_stats([(pred, gt, "two_fold")])
         assert rot == pytest.approx(0.0, abs=1e-6)
 

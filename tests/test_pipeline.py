@@ -13,6 +13,8 @@ import pytest
 
 import canontrack
 from canontrack import experiment, pipeline, synth, track
+from canontrack.geom import Box3, SimilarityTransform
+from canontrack.voxel import DenseTsdfGrid
 
 
 def noisy_config(**kwargs):
@@ -454,3 +456,128 @@ class TestSweepCompletion:
         summaries = experiment.sweep_completion(cfg, self.FRACTIONS)
         assert len(summaries) == len(self.FRACTIONS)
         assert len(builds) == cfg.n_sequences
+
+
+# The value types do not check what they are given: each invariant below is
+# kept by the builders of its values, and this is its one home.  Each value
+# is reduced, as it is made, to the figures the tests read, so that no
+# 64^3 template or TSDF grid is kept alive.
+BUILT = {
+    SimilarityTransform: lambda t: (t.scale, t.rotation),
+    Box3: lambda b: b.extents,
+    synth.ObjectTemplate: lambda t: (
+        t.kind, bool(t.canonical_occupancy.bits.any()), t.physical_scale),
+    synth.SceneScript: lambda s: (
+        len(s.templates), [len(p) for p in s.object_poses],
+        len(s.camera_poses)),
+    DenseTsdfGrid: lambda g: (g.values.shape, g.weights.shape, g.voxel_size),
+}
+
+# Small runs shaped like the benchmark's workloads (perfbench/run.py), each
+# tracked at the completion fractions given.
+BUILDER_RUNS = [
+    (small_config(seed=1, n_frames=3, n_objects=3), (1.0,)),  # clean
+    (small_config(seed=1, n_frames=4, motion="fast", image_width=96,
+                  image_height=72, noc_noise=0.01, occupancy_flip_rate=0.02,
+                  detector_center_jitter=0.5, detector_extent_jitter=0.5,
+                  detector_flip_rate=0.01), (0.0, 1.0)),  # sweep
+    (small_config(seed=1, n_frames=3, n_objects=3, motion="fast",
+                  image_width=96, image_height=72,
+                  detector_center_jitter=2.0, detector_flip_rate=0.2),
+     (1.0,)),  # noisy
+]
+
+
+@pytest.fixture(scope="module")
+def built():
+    """The figures of every value the five types above were given, and the
+    (camera pose, depth, intrinsics) of every frame fused, over the runs of
+    BUILDER_RUNS and over 24-frame scene scripts alone for seeds 0-49, both
+    motions and 1-3 objects."""
+    made = {cls: [] for cls in BUILT}
+    fused = []
+    fuse = pipeline.fuse_depth_frame
+
+    def record_fuse(depth, intrinsics, camera_pose, grid):
+        fused.append((camera_pose.scale, camera_pose.rotation, depth.dtype,
+                      depth.shape, (intrinsics.height, intrinsics.width)))
+        return fuse(depth, intrinsics, camera_pose, grid)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for cls, figures in BUILT.items():
+            def init(self, *args, _init=cls.__init__, _figures=figures,
+                     _made=made[cls], **kwargs):
+                _init(self, *args, **kwargs)
+                _made.append(_figures(self))
+            mp.setattr(cls, "__init__", init)
+        mp.setattr(pipeline, "fuse_depth_frame", record_fuse)
+        for config, fractions in BUILDER_RUNS:
+            data = pipeline.build_sequence_data(
+                experiment.make_script(config, 0), config.voxel_size)
+            for fraction in fractions:
+                cfg = replace(config, completion_fraction=fraction)
+                result = pipeline.run_sequence(data, cfg.pipeline_config(0))
+                experiment.score_sequence(result, cfg)
+        for seed in range(50):
+            for motion in ("slow", "fast"):
+                for n_objects in (1, 2, 3):
+                    experiment.make_script(small_config(
+                        seed=seed, n_frames=24, motion=motion,
+                        n_objects=n_objects), 0)
+    return made, fused
+
+
+class TestBuildersKeepInvariants:
+    """Each comparison is written so that NaN fails it."""
+
+    def test_transforms_are_proper_similarities(self, built):
+        made, _ = built
+        scales = np.array([scale for scale, _ in made[SimilarityTransform]])
+        rotations = np.stack([rot for _, rot in made[SimilarityTransform]])
+        assert len(scales) > 20_000
+        assert np.all(scales > 0)
+        gram = np.einsum("nji,njk->nik", rotations, rotations)
+        err = np.abs(gram - np.eye(3)).max(axis=(1, 2))
+        assert np.all(err <= 1e-8), err.max()
+        det_err = np.abs(np.linalg.det(rotations) - 1.0)
+        assert np.all(det_err <= 1e-8), det_err.max()
+
+    def test_boxes_have_positive_extents(self, built):
+        extents = np.stack(built[0][Box3])
+        assert len(extents) > 1_000
+        assert np.all(extents > 0)
+
+    def test_templates_are_nonempty_known_kinds_of_positive_size(self, built):
+        templates = built[0][synth.ObjectTemplate]
+        assert len(templates) >= 600
+        for kind, occupied, physical_scale in templates:
+            assert kind in synth.TEMPLATE_KINDS
+            assert occupied
+            assert np.all(physical_scale > 0)
+
+    def test_scripts_pose_every_template_in_every_frame(self, built):
+        scripts = built[0][synth.SceneScript]
+        assert len(scripts) == len(BUILDER_RUNS) + 300
+        for n_templates, poses_per_frame, n_cameras in scripts:
+            assert len(poses_per_frame) >= 1
+            assert n_cameras == len(poses_per_frame)
+            assert poses_per_frame == [n_templates] * n_cameras
+
+    def test_grids_hold_matching_3d_arrays(self, built):
+        grids = built[0][DenseTsdfGrid]
+        assert len(grids) > 0
+        for values_shape, weights_shape, voxel_size in grids:
+            assert len(values_shape) == 3
+            assert weights_shape == values_shape
+            assert voxel_size > 0
+
+    def test_fusion_reads_unit_scale_cameras_and_image_sized_depth(self, built):
+        fused = built[1]
+        assert len(fused) == sum(config.n_frames for config, _ in BUILDER_RUNS)
+        up = np.array([0.0, 0.0, 1.0])
+        for scale, rotation, dtype, shape, image in fused:
+            assert abs(scale - 1.0) <= 1e-12
+            # look_at's forward axis is never parallel to world up
+            assert np.linalg.norm(np.cross(rotation[:, 2], up)) >= 1e-9
+            assert dtype == np.float64
+            assert shape == image

@@ -26,7 +26,8 @@ class TestUmeyama:
     def test_identity(self):
         pts = np.random.default_rng(0).random((20, 3))
         t = solve_pose(pts, pts)
-        assert_transforms_close(t, SimilarityTransform())
+        assert_transforms_close(
+            t, SimilarityTransform(1.0, np.eye(3), np.zeros(3)))
 
     def test_pure_translation(self):
         pts = np.random.default_rng(1).random((20, 3))

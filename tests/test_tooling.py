@@ -1,16 +1,19 @@
 """Checks of the repository as a whole: the pytest configuration, that the
-command-line tool reaches every function of the package, and that the
-package reads every dataclass field it declares."""
+command-line tool reaches every function of the package, that the package
+reads every dataclass field it declares and leaves checks out of its
+dataclass constructors, and that README's examples run."""
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import canontrack
 import reach_probe
+from canontrack.experiment import ExperimentConfig
 
 TESTS = Path(__file__).resolve().parent
 PYPROJECT = TESTS.parent / "pyproject.toml"
@@ -81,11 +84,15 @@ def dataclass_fields(tree: ast.Module):
                     yield node.name, stmt.target.id
 
 
+def package_modules() -> dict:
+    return {path.name: ast.parse(path.read_text())
+            for path in sorted((SRC / "canontrack").glob("*.py"))}
+
+
 def test_every_dataclass_field_is_read():
     """A value that only tests read is deleted too: every dataclass field
     declared in the package is read as an attribute somewhere in it."""
-    modules = {path.name: ast.parse(path.read_text())
-               for path in sorted((SRC / "canontrack").glob("*.py"))}
+    modules = package_modules()
     read = {node.attr for tree in modules.values()
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
@@ -94,3 +101,43 @@ def test_every_dataclass_field_is_read():
                 for cls, field in dataclass_fields(tree)]
     assert len(declared) > 100
     assert [" ".join(d) for d in declared if d[2] not in read] == []
+
+
+def test_no_dataclass_constructor_raises():
+    """Checks live where input enters the program (`ExperimentConfig.validate`
+    and `eval`'s readers) and, for the values the program builds, in
+    tests/test_pipeline.py's builder test: a dataclass's `__post_init__` may
+    coerce its fields but raises nothing."""
+    raising = []
+    for name, tree in package_modules().items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and stmt.name == "__post_init__"
+                        and any(isinstance(n, ast.Raise)
+                                for n in ast.walk(stmt))):
+                    raising.append(f"{name} {node.name}")
+    assert raising == []
+
+
+def readme_block(language: str) -> str:
+    """The one fenced block of README.md in the given language."""
+    blocks = re.findall(rf"^```{language}\n(.*?)^```$",
+                        (SRC.parent / "README.md").read_text(),
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, blocks
+    return blocks[0]
+
+
+def test_readme_library_example_runs(tmp_path):
+    r = run_python(["-c", readme_block("python")], cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "1.0\n"
+
+
+def test_readme_config_block_is_a_valid_config():
+    block = json.loads(readme_block("json"))
+    config = ExperimentConfig.from_dict(block)
+    assert {k: config.to_dict()[k] for k in block} == block
