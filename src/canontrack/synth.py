@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from .geom import Box3, SimilarityTransform, per_column, ray_box, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
-                    depth_at, nearest_voxel)
+                    nearest_voxel, projective_sdf)
 
 # Random scenes place objects within PLACEMENT_RADIUS of the origin, at least
 # MIN_SEPARATION apart.  Over seeds 0-299, placement failed for 0 scenes of 3
@@ -52,7 +52,6 @@ class ObjectTemplate:
     """A rigid object normalized into [0,1]^3, longest extent spanning the
     unit cube; z is the canonical up axis."""
 
-    id: str
     kind: str
     canonical_occupancy: OccupancyGrid
     physical_scale: np.ndarray  # full extents, meters
@@ -72,33 +71,19 @@ class ObjectTemplate:
     @functools.cached_property
     def canonical_bbox(self) -> tuple:
         """(lo, hi) canonical-space AABB of the occupied voxels, computed
-        once per template from the occupancy's three axis projections;
-        read-only."""
-        bits = self.canonical_occupancy.bits
+        once per template from the surface voxels, which hold every
+        extreme index; read-only."""
+        surf = self.surface_voxels
         res = self.canonical_occupancy.dims[0]
-        first, last = [], []
-        for axis in range(3):
-            occupied = np.flatnonzero(
-                bits.any(axis=tuple(a for a in range(3) if a != axis)))
-            first.append(occupied[0])
-            last.append(occupied[-1])
-        lo = np.array(first) / res
-        hi = (np.array(last) + 1) / res
-        return _read_only(lo), _read_only(hi)
+        return (_read_only(surf.min(axis=0) / res),
+                _read_only((surf.max(axis=0) + 1) / res))
 
     @functools.cached_property
     def surface_voxels(self) -> np.ndarray:
         """Occupied voxels with at least one empty 6-neighbor (or on the
         grid border), computed once per template; read-only."""
         bits = self.canonical_occupancy.bits
-        interior = np.zeros_like(bits)
-        interior[1:-1, 1:-1, 1:-1] = (
-            bits[1:-1, 1:-1, 1:-1]
-            & bits[:-2, 1:-1, 1:-1] & bits[2:, 1:-1, 1:-1]
-            & bits[1:-1, :-2, 1:-1] & bits[1:-1, 2:, 1:-1]
-            & bits[1:-1, 1:-1, :-2] & bits[1:-1, 1:-1, 2:]
-        )
-        return _read_only(np.argwhere(bits & ~interior))
+        return _read_only(np.argwhere(bits & ~ndimage.binary_erosion(bits)))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -141,8 +126,7 @@ def _shape_mask(kind: str, ux: np.ndarray, uy: np.ndarray,
     raise ValueError(f"unknown template kind {kind!r}")
 
 
-def make_template(kind: str, physical_scale,
-                  template_id: str | None = None) -> ObjectTemplate:
+def make_template(kind: str, physical_scale) -> ObjectTemplate:
     """Build a procedural template of a TEMPLATE_KINDS kind and size."""
     _, _, square = TEMPLATE_KINDS[kind]
     scale = np.asarray(physical_scale, dtype=np.float64).reshape(3).copy()
@@ -156,12 +140,7 @@ def make_template(kind: str, physical_scale,
     ux, uy, uz = ((c - 0.5) / (0.5 * f) for f in frac)
     bits = _shape_mask(kind, ux[:, None, None], uy[None, :, None],
                        uz[None, None, :])
-    return ObjectTemplate(
-        id=template_id or kind,
-        kind=kind,
-        canonical_occupancy=OccupancyGrid(bits),
-        physical_scale=scale,
-    )
+    return ObjectTemplate(kind, OccupancyGrid(bits), scale)
 
 
 def object_pose(template: ObjectTemplate, center_xy,
@@ -239,7 +218,7 @@ class SceneScript:
             "camera_poses": [p.to_dict() for p in self.camera_poses],
             "objects": [
                 {
-                    "id": t.id,
+                    "id": f"obj{i}_{t.kind}",
                     "kind": t.kind,
                     "physical_scale": t.physical_scale.tolist(),
                     "poses": [self.object_poses[f][i].to_dict()
@@ -405,10 +384,8 @@ def render_frame(script: SceneScript, frame_idx: int,
         surf = template.surface_voxels
         res = template.canonical_occupancy.dims[0]
         centers_c = (surf + 0.5) / res
-        w = pose.apply(centers_c)
-        pc = cam_inv.apply(w)
-        d_px = depth_at(depth, intr, pc)
-        vis = (d_px > 0) & (np.abs(d_px - pc[:, 2]) < visibility_band)
+        d, sdf = projective_sdf(depth, intr, cam_inv, pose.apply(centers_c))
+        vis = (d > 0) & (np.abs(sdf) < visibility_band)
         class_id, symmetry, _ = TEMPLATE_KINDS[template.kind]
         objects.append(
             GroundTruthObject(
@@ -444,14 +421,14 @@ def make_random_script(
 
     kinds = list(TEMPLATE_KINDS)
     templates = []
-    for i in range(n_objects):
+    for _ in range(n_objects):
         kind = kinds[int(rng.integers(len(kinds)))]
         size = np.array([
             rng.uniform(0.5, 0.9),
             rng.uniform(0.5, 0.9),
             rng.uniform(0.45, 0.85),
         ])
-        templates.append(make_template(kind, size, f"obj{i}_{kind}"))
+        templates.append(make_template(kind, size))
 
     def placeable(p, others):
         return np.linalg.norm(p) <= PLACEMENT_RADIUS and all(

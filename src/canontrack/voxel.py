@@ -147,43 +147,42 @@ def depth_at(depth: np.ndarray, intrinsics: CameraIntrinsics,
     return d
 
 
+def projective_sdf(depth: np.ndarray, intrinsics: CameraIntrinsics,
+                   world_to_cam: SimilarityTransform,
+                   points: np.ndarray) -> tuple:
+    """(d, d - z) of (N, 3) world points: the depth d of the pixel each point
+    projects into (0 behind the camera or off the image), and its projective
+    signed distance, d minus the point's camera-frame z."""
+    cam = world_to_cam.apply(points)
+    d = depth_at(depth, intrinsics, cam)
+    return d, d - cam[:, 2]
+
+
 def fuse_depth_frame(
     depth: np.ndarray,
     intrinsics: CameraIntrinsics,
     camera_pose: SimilarityTransform,
     grid: DenseTsdfGrid,
 ) -> DenseTsdfGrid:
-    """Integrate one depth frame into the grid (running weighted average).
+    """Integrate one depth frame into `grid` (running weighted average),
+    writing its values and weights in place, and return it.
 
     `depth` is a float64 (height, width) array in meters, 0 marking invalid
     pixels; `camera_pose` is camera-to-world and must have unit scale.
-    Returns a new grid; the input is not modified.
     """
-    centers = grid.voxel_centers().reshape(-1, 3)
-    world_to_cam = camera_pose.inverse()
-    cam = world_to_cam.apply(centers)
-    z = cam[:, 2]
-    d = depth_at(depth, intrinsics, cam)
-    valid = d > 0
-
-    sdf = d - z
+    d, sdf = projective_sdf(depth, intrinsics, camera_pose.inverse(),
+                            grid.voxel_centers().reshape(-1, 3))
     tau = grid.truncation
-    # Voxels more than tau behind the surface stay unobserved.
-    update = valid & (sdf > -tau)
-    sdf = np.clip(sdf, -tau, tau)
+    # Voxels more than tau behind the surface stay unobserved.  The mask is
+    # 3-D so that the writes below reach the grid's own arrays.
+    update = ((d > 0) & (sdf > -tau)).reshape(grid.dims)
+    sdf = np.clip(sdf, -tau, tau).reshape(grid.dims)
 
-    values = grid.values.reshape(-1).copy()
-    weights = grid.weights.reshape(-1).copy()
+    values, weights = grid.values, grid.weights
     w_old = weights[update]
     values[update] = (w_old * values[update] + sdf[update]) / (w_old + 1.0)
     weights[update] = w_old + 1.0
-
-    return DenseTsdfGrid(
-        origin=grid.origin,
-        voxel_size=grid.voxel_size,
-        values=values.reshape(grid.dims),
-        weights=weights.reshape(grid.dims),
-    )
+    return grid
 
 
 def extract_surface(grid: DenseTsdfGrid, band: float) -> SparseSurfaceGrid:

@@ -24,8 +24,7 @@ def make_template(kind: str, physical_scale) -> ObjectTemplate:
     cc = lattice_centers((OBJECT_RESOLUTION,) * 3) / OBJECT_RESOLUTION
     u = (cc - 0.5) / (0.5 * frac)
     bits = _shape_mask(kind, u[..., 0], u[..., 1], u[..., 2])
-    return ObjectTemplate(id=kind, kind=kind,
-                          canonical_occupancy=OccupancyGrid(bits),
+    return ObjectTemplate(kind=kind, canonical_occupancy=OccupancyGrid(bits),
                           physical_scale=scale)
 
 
@@ -34,6 +33,18 @@ def canonical_bbox(bits: np.ndarray) -> tuple:
     occ = np.argwhere(bits)
     res = bits.shape[0]
     return occ.min(axis=0) / res, (occ.max(axis=0) + 1) / res
+
+
+def surface_voxels(bits: np.ndarray) -> np.ndarray:
+    """(M, 3) indices of the occupied voxels with an empty 6-neighbor, the
+    grid padded with empty voxels, in C order."""
+    padded = np.pad(bits, 1, constant_values=False)
+    inner = (slice(1, -1),) * 3
+    empty_neighbor = np.zeros_like(bits)
+    for axis in range(3):
+        for shift in (-1, 1):
+            empty_neighbor |= ~np.roll(padded, shift, axis)[inner]
+    return np.argwhere(bits & empty_neighbor)
 
 
 def _ray_box(o, d, lo, hi):

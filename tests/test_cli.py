@@ -35,6 +35,8 @@ class TestGenerate:
         d = json.loads(script_file.read_text())
         assert d["version"] == 1
         assert len(d["objects"]) == 2
+        assert [o["id"] for o in d["objects"]] == [
+            f"obj{i}_{o['kind']}" for i, o in enumerate(d["objects"])]
         assert len(d["camera_poses"]) == 3
 
     def test_seed_override_changes_scene(self, config_path, tmp_path):

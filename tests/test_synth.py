@@ -127,6 +127,9 @@ class TestTemplatesAgainstFullLattice:
         for a, b in zip(t.canonical_bbox,
                         render_reference.canonical_bbox(bits)):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        surf = render_reference.surface_voxels(bits)
+        assert t.surface_voxels.dtype == surf.dtype
+        assert t.surface_voxels.tobytes() == surf.tobytes()
 
 
 class TestObjectPose:

@@ -56,34 +56,35 @@ class TestFusion:
         assert far_behind.any()
         assert not fused.weights[far_behind].any()
 
-    def test_input_grid_unmodified(self):
+    def test_fuses_into_the_given_grid(self):
         depth, intr, cam, grid = flat_wall_setup()
-        fuse_depth_frame(depth, intr, cam, grid)
-        assert not grid.weights.any()
-        assert not grid.values.any()
+        assert fuse_depth_frame(depth, intr, cam, grid) is grid
+        assert grid.weights.any()
 
     def test_weight_accumulation_and_average(self):
         depth, intr, cam, grid = flat_wall_setup()
         once = fuse_depth_frame(depth, intr, cam, grid)
+        seen = once.weights > 0
+        once_values = once.values[seen].copy()
         depth2 = depth + 0.02
         twice = fuse_depth_frame(depth2, intr, cam, once)
-        seen = once.weights > 0
         assert np.all(twice.weights[seen] == 2.0)
         # running average of the two observations
         assert np.abs(
-            twice.values[seen] - (once.values[seen]
-                                  + np.clip(once.values[seen] + 0.02,
+            twice.values[seen] - (once_values
+                                  + np.clip(once_values + 0.02,
                                             -grid.truncation, grid.truncation)
                                   ) / 2.0
         ).max() < 1e-9
 
     def test_order_independence(self):
-        depth, intr, cam, grid = flat_wall_setup()
+        depth, intr, cam, grid_a = flat_wall_setup()
+        grid_b = flat_wall_setup()[3]
         depth2 = depth + 0.02
         ab = fuse_depth_frame(depth2, intr, cam,
-                              fuse_depth_frame(depth, intr, cam, grid))
+                              fuse_depth_frame(depth, intr, cam, grid_a))
         ba = fuse_depth_frame(depth, intr, cam,
-                              fuse_depth_frame(depth2, intr, cam, grid))
+                              fuse_depth_frame(depth2, intr, cam, grid_b))
         assert np.abs(ab.values - ba.values).max() < 1e-12
         assert np.array_equal(ab.weights, ba.weights)
 
