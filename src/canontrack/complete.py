@@ -39,22 +39,11 @@ class CompletionOutput:
     centers: np.ndarray  # (M, 3) world-space crop voxel centers
 
 
-def detection_rng(base_seed: int, sequence_id: int, frame_id: int,
-                  object_id: int) -> np.random.Generator:
-    """Per-detection generator so degradation is reproducible regardless of
-    processing order."""
-    return np.random.default_rng(
-        np.random.SeedSequence((base_seed, sequence_id, frame_id, object_id))
-    )
-
-
 def _lookup_codes(bits: np.ndarray, visible_voxels: np.ndarray) -> np.ndarray:
     """uint8 grid read by the oracle's one lookup: bit 0 template occupancy,
-    bit 1 visible voxel."""
+    bit 1 the visible voxels, an (M, 3) integer array."""
     codes = bits.astype(np.uint8)
-    if len(visible_voxels):
-        vv = np.asarray(visible_voxels, dtype=np.int64)
-        codes[vv[:, 0], vv[:, 1], vv[:, 2]] |= 2
+    codes[tuple(visible_voxels.T)] |= 2
     return codes
 
 

@@ -110,18 +110,17 @@ def _mean_shift_modes(votes: np.ndarray) -> np.ndarray:
         lens = np.bincount(pairs["i"], minlength=len(active))
         keep = lens > 0
         moving[active[~keep]] = False
-        if keep.any():
-            rows = active[keep]
-            key = pairs["i"].astype(np.int64) * len(votes)
-            key += pairs["j"]
-            key.sort()
-            flat = key % len(votes)
-            starts = np.zeros(len(rows), dtype=np.int64)
-            starts[1:] = np.cumsum(lens[keep])[:-1]
-            new = (np.add.reduceat(votes.take(flat, axis=0), starts, axis=0)
-                   / lens[keep, None])
-            moving[rows] = (new != pts[rows]).any(axis=1)
-            pts[rows] = new
+        rows = active[keep]
+        key = pairs["i"].astype(np.int64) * len(votes)
+        key += pairs["j"]
+        key.sort()
+        flat = key % len(votes)
+        starts = np.zeros(len(rows), dtype=np.int64)
+        starts[1:] = np.cumsum(lens[keep])[:-1]
+        new = (np.add.reduceat(votes.take(flat, axis=0), starts, axis=0)
+               / lens[keep, None])
+        moving[rows] = (new != pts[rows]).any(axis=1)
+        pts[rows] = new
         pts, merged = np.unique(pts, axis=0, return_inverse=True)
         merged = merged.reshape(-1)
         # A row is final when any position merged into it was a fixed point.
@@ -212,8 +211,6 @@ def make_oracle_fields(surface: SparseSurfaceGrid, gt_objects,
     class_t = np.zeros(n, dtype=np.int64)
     for oi, obj in enumerate(gt_objects):
         free = owner < 0
-        if not free.any():
-            break
         canon = obj.pose.inverse().apply(centers[free])
         hit = nearest_voxel(obj.template.dilated_occupancy, canon)
         gidx = np.nonzero(free)[0][hit]

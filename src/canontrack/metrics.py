@@ -166,9 +166,6 @@ def average_precision(detections, ground_truth, iou_fn,
     for cls, gts in sorted(gt_by_class.items()):
         dets = sorted([d for d in detections if d[1] == cls],
                       key=lambda d: (-d[2], d[0]))
-        if not dets:
-            aps.append(0.0)
-            continue
         matched = [False] * len(gts)
         tp = np.zeros(len(dets))
         for di, (frame, _, _, payload) in enumerate(dets):

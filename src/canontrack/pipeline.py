@@ -104,16 +104,25 @@ def _scatter_canonical(coords: np.ndarray) -> np.ndarray:
     return grid.reshape((res,) * 3)
 
 
+def _frame_rng(config: PipelineConfig, frame_idx: int,
+               stream: int) -> np.random.Generator:
+    """One frame's random stream, keyed by (seed, sequence_id, frame,
+    stream) so that no draw depends on processing order.  The detector
+    fields draw from stream 1 and a matched detection's completion from its
+    ground-truth object's id, so stream 1 is also object 1's (ROADMAP item
+    5 gives the fields their own)."""
+    return np.random.default_rng(np.random.SeedSequence(
+        (config.seed, config.sequence_id, frame_idx, stream)))
+
+
 def _complete_detection(proposal: detect.Proposal, gt_obj, frame_idx: int,
                         config: PipelineConfig) -> tuple:
     """(pose or None, completion IoU, canonical grid) of a proposal matched
     to a ground-truth object.  The crop-sized grids of the completion are
     freed on return, before the next detection's."""
-    rng = complete.detection_rng(
-        config.seed, config.sequence_id, frame_idx, gt_obj.object_id)
     out = complete.oracle_complete(
-        proposal.box, gt_obj.template, gt_obj.pose,
-        gt_obj.visible_voxels, config, rng)
+        proposal.box, gt_obj.template, gt_obj.pose, gt_obj.visible_voxels,
+        config, _frame_rng(config, frame_idx, gt_obj.object_id))
     pred_pose = None
     if len(out.noc) >= 3:
         try:
@@ -130,10 +139,8 @@ def process_frame(data: SequenceData, frame_idx: int,
     the tracker and the scorer both read."""
     gt = data.gt_frames[frame_idx]
     surface = data.surfaces[frame_idx]
-    field_rng = np.random.default_rng(
-        np.random.SeedSequence((config.seed, config.sequence_id, frame_idx, 1)))
     fields, targets = detect.make_oracle_fields(
-        surface, gt.objects, config, field_rng)
+        surface, gt.objects, config, _frame_rng(config, frame_idx, 1))
     losses = detect.detection_losses(fields, targets)
     proposals = detect.mean_shift_proposals(fields)
 

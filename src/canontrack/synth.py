@@ -20,7 +20,7 @@ from scipy import ndimage
 
 from .geom import Box3, SimilarityTransform, per_column, ray_box, yaw_rotation
 from .voxel import (OBJECT_RESOLUTION, CameraIntrinsics, OccupancyGrid,
-                    nearest_voxel, projective_sdf)
+                    nearest_voxel, project, projective_sdf)
 
 # Random scenes place objects within PLACEMENT_RADIUS of the origin, at least
 # MIN_SEPARATION apart.  Over seeds 0-299, placement failed for 0 scenes of 3
@@ -270,11 +270,9 @@ def _covered_pixels(intrinsics: CameraIntrinsics,
     projected bounding rectangle grown by one pixel, or every pixel when a
     corner is at or behind the camera."""
     width, height = intrinsics.width, intrinsics.height
-    z = corners_cam[:, 2]
-    if np.any(z <= 0.0):
+    if np.any(corners_cam[:, 2] <= 0.0):
         return np.arange(width * height)
-    u = intrinsics.fx * corners_cam[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * corners_cam[:, 1] / z + intrinsics.cy
+    u, v = project(intrinsics, corners_cam)
     # Clipped as floats: a corner just in front of the camera can project
     # arbitrarily far off the image.
     u0, u1 = np.clip([np.floor(u.min()) - 1, np.ceil(u.max()) + 1],

@@ -45,8 +45,6 @@ def hungarian(cost: np.ndarray) -> list:
     cost matrix; returns (row, col) pairs sorted lexicographically, none
     when the matrix has no row or no column."""
     cost = np.asarray(cost, dtype=np.float64)
-    if cost.size == 0:
-        return []
     if not np.all(np.isfinite(cost)):
         raise ValueError("cost matrix must be finite")
     rows, cols = linear_sum_assignment(cost)
@@ -142,9 +140,10 @@ class Tracker:
         if not self.enable_rescue:
             return self.tracklets
         while True:
-            # Re-derive candidates each round: merges change the orphan set;
-            # with none left the assignment is empty and the round returns.
-            candidates = sorted(self.tracklets, key=lambda t: t.first_frame)
+            # In first-frame order (step appends newborns, _merge keeps the
+            # earlier base); re-read each round, as merges change the orphan
+            # set.  With no orphan left the assignment is empty.
+            candidates = self.tracklets
             orphans = [k for k, t in enumerate(candidates) if t.first_frame > 0]
             frames = [t.frames() for t in candidates]
             # Coexisting tracklets are distinct objects.

@@ -131,16 +131,22 @@ class OccupancyGrid:
         return self.bits.shape
 
 
+def project(intrinsics: CameraIntrinsics, points_cam: np.ndarray) -> tuple:
+    """Pinhole image coordinates (u, v) of (N, 3) camera-frame points in
+    front of the camera; pixel (u, v) covers [u, u + 1) x [v, v + 1)."""
+    z = points_cam[:, 2]
+    return (intrinsics.fx * points_cam[:, 0] / z + intrinsics.cx,
+            intrinsics.fy * points_cam[:, 1] / z + intrinsics.cy)
+
+
 def depth_at(depth: np.ndarray, intrinsics: CameraIntrinsics,
              points_cam: np.ndarray) -> np.ndarray:
     """Depth of the pixel each (N, 3) camera-frame point projects into; 0 for
     points behind the camera or off the image."""
-    z = points_cam[:, 2]
-    front = np.nonzero(z > 1e-6)[0]
-    u = np.floor(intrinsics.fx * points_cam[front, 0] / z[front]
-                 + intrinsics.cx).astype(np.int64)
-    v = np.floor(intrinsics.fy * points_cam[front, 1] / z[front]
-                 + intrinsics.cy).astype(np.int64)
+    front = np.nonzero(points_cam[:, 2] > 1e-6)[0]
+    u, v = project(intrinsics, points_cam.take(front, axis=0))
+    u = np.floor(u).astype(np.int64)
+    v = np.floor(v).astype(np.int64)
     ok = (u >= 0) & (u < intrinsics.width) & (v >= 0) & (v < intrinsics.height)
     d = np.zeros(len(points_cam))
     d[front[ok]] = depth[v[ok], u[ok]]

@@ -9,7 +9,7 @@ from scipy.stats import spearmanr
 
 from canontrack import synth
 from canontrack.complete import (CANDIDATE_SLACK, _candidate_rows,
-                                 detection_rng, oracle_complete)
+                                 _lookup_codes, oracle_complete)
 from canontrack.geom import Box3, SimilarityTransform, volumetric_iou
 from canontrack.pipeline import PipelineConfig, _complete_detection
 from canontrack.pose import solve_pose
@@ -223,12 +223,12 @@ class TestOracleComplete:
         assert np.abs(est.rotation - pose.rotation).max() < 1e-9
         assert np.abs(est.translation - pose.translation).max() < 1e-9
 
-    def test_detection_rng_reproducible_and_distinct(self):
-        a = detection_rng(1, 2, 3, 4).random(5)
-        b = detection_rng(1, 2, 3, 4).random(5)
-        c = detection_rng(1, 2, 3, 5).random(5)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
+    def test_no_visible_voxel_marks_nothing(self):
+        template, _, _, _ = posed_object()
+        bits = template.canonical_occupancy.bits
+        codes = _lookup_codes(bits, np.zeros((0, 3), np.int64))
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, bits.astype(np.uint8))
 
     def test_non_overlapping_box_completes_to_nothing(self):
         template, pose, _, visible = posed_object()

@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from canontrack.detect import (PredictionFields,
                                binary_cross_entropy, detection_losses,
                                make_oracle_fields, mean_shift_proposals,
                                smooth_l1)
+from canontrack.geom import Box3, SimilarityTransform
 from canontrack.pipeline import PipelineConfig
 from canontrack.voxel import SparseSurfaceGrid
 
@@ -507,3 +509,28 @@ class TestOracleFields:
         # binomial(n, 0.25) within 4 sigma
         sigma = np.sqrt(n * 0.25 * 0.75)
         assert abs(flipped - 0.25 * n) < 4 * sigma
+
+    def test_object_left_no_free_voxel_owns_nothing(self):
+        # The first object's dilated occupancy holds every surface voxel, so
+        # the second object meets only empty selections.
+        surface = SparseSurfaceGrid(np.argwhere(np.ones((4, 4, 4), bool)),
+                                    np.zeros(3), 0.1)
+        identity = SimilarityTransform(1.0, np.eye(3), np.zeros(3))
+
+        def gt_object(class_id, center):
+            return SimpleNamespace(
+                pose=identity, class_id=class_id, box=Box3(center, [0.4] * 3),
+                template=SimpleNamespace(
+                    dilated_occupancy=np.ones((8, 8, 8), bool)))
+
+        first = gt_object(3, [0.2, 0.2, 0.2])
+        second = gt_object(5, [9.0, 9.0, 9.0])
+        fields, targets = make_oracle_fields(
+            surface, [first, second], CLEAN, np.random.default_rng(0))
+        alone, alone_targets = make_oracle_fields(
+            surface, [first], CLEAN, np.random.default_rng(0))
+        assert np.array_equal(targets.owner, np.zeros(len(surface)))
+        assert np.array_equal(fields.class_id, np.full(len(surface), 3))
+        for got, want in ((fields, alone), (targets, alone_targets)):
+            for name, value in vars(want).items():
+                assert np.array_equal(getattr(got, name), value), name

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import canontrack
-from canontrack import experiment, pipeline, synth, track
+from canontrack import complete, detect, experiment, pipeline, synth, track
 from canontrack.geom import Box3, SimilarityTransform
 from canontrack.voxel import DenseTsdfGrid
 
@@ -149,6 +149,41 @@ class TestPipeline:
             clean_scores["mean_completion_iou"]
         assert scores["median_rotation_error_deg"] > \
             clean_scores["median_rotation_error_deg"]
+
+
+class TestFrameRng:
+    def test_frame_rng_reproducible_and_distinct(self):
+        config = pipeline.PipelineConfig(seed=1, sequence_id=2)
+        a = pipeline._frame_rng(config, 3, 4).random(5)
+        b = pipeline._frame_rng(config, 3, 4).random(5)
+        c = pipeline._frame_rng(config, 3, 5).random(5)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 5")
+    def test_field_stream_differs_from_object_one(self, small_run,
+                                                  monkeypatch):
+        """The first draws of frame 0's detector-field generator and of
+        object 1's completion generator, as process_frame passes them."""
+        config, data, _ = small_run
+        first_draws = {}
+
+        def recording(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                first_draws[key(*args)] = copy.deepcopy(args[-1]).random()
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        objects = data.gt_frames[0].objects
+        recording(detect, "make_oracle_fields", lambda *args: "fields")
+        recording(complete, "oracle_complete", lambda box, template, *args: [
+            o.object_id for o in objects if o.template is template][0])
+        pipeline.process_frame(data, 0, config.pipeline_config(0))
+        assert first_draws.keys() == {"fields", 0, 1}
+        assert first_draws["fields"] != first_draws[1]
 
 
 class TestHeapPolicy:

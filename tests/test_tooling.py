@@ -122,6 +122,39 @@ def test_no_dataclass_constructor_raises():
     assert raising == []
 
 
+def functions_calling(tree: ast.Module, names: set):
+    """Name of the innermost def ("" at module level) around each call in
+    the module of a function or method named in `names`."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) in names:
+                    yield owner
+            yield from visit(child, owner)
+    yield from visit(tree, "")
+
+
+def test_random_streams_are_keyed_in_one_place():
+    """Results depend only on (config, seed), not on processing order: every
+    generator of the package is seeded by the scene script's seed
+    (`synth.make_random_script`), a sequence's seed
+    (`experiment._sequence_seed`) or one frame's stream
+    (`pipeline._frame_rng`)."""
+    allowed = {("experiment.py", "_sequence_seed"),
+               ("pipeline.py", "_frame_rng"),
+               ("synth.py", "make_random_script")}
+    seeding = {(name, function)
+               for name, tree in package_modules().items()
+               for function in functions_calling(
+                   tree, {"default_rng", "SeedSequence"})}
+    assert sorted(seeding - allowed) == []
+    assert seeding == allowed
+
+
 def readme_block(language: str) -> str:
     """The one fenced block of README.md in the given language."""
     blocks = re.findall(rf"^```{language}\n(.*?)^```$",

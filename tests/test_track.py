@@ -273,9 +273,17 @@ class TestTracker:
         shape = grid(*[(i, j, 0) for i in range(4) for j in range(4)])
         tracker = Tracker(enable_rescue=True)
         centers = {0: [0, 0, 0], 2: [10, 0, 0], 4: [20, 0, 0]}
+
+        # The rescue reads the tracklets in the order the tracker keeps
+        # them, which is first-frame order.
+        def first_frames():
+            return [t.first_frame for t in tracker.tracklets]
+
         for f in range(6):
             tracker.step([det(f, centers[f], shape)] if f in centers else [])
+            assert first_frames() == sorted(first_frames())
         tracker.finish()
+        assert first_frames() == sorted(first_frames())
         assert len(tracker.tracklets) == 1
         assert tracker.tracklets[0].frames() == {0, 2, 4}
         (dumped,) = tracker.dump()["tracklets"]
